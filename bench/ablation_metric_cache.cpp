@@ -39,9 +39,7 @@ double short_flow_time_after_poisoning(bool use_cache, std::uint64_t seed) {
                            net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
     bool done = false;
     bad.get(256 << 10, [&](const app::FetchResult&) { done = true; });
-    const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(120);
-    while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-    }
+    tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(120));
   }
   // Radio conditions recover fully.
   tb.wifi_access().downlink().set_loss_model(std::make_unique<net::NoLoss>());
@@ -57,9 +55,7 @@ double short_flow_time_after_poisoning(bool use_cache, std::uint64_t seed) {
       done = true;
       took = r.download_time();
     });
-    const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(120);
-    while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-    }
+    tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(120));
     total += took.to_seconds();
   }
   return total / 5.0;

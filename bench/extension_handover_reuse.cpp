@@ -43,9 +43,7 @@ ReuseResult run_outage(double outage_s, std::uint64_t seed) {
 
   bool done = false;
   client.get(128 << 20, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(1200);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(1200));
 
   ReuseResult out;
   out.completed = done;

@@ -51,27 +51,6 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel);
 
-void BM_EventQueueBatchPop(benchmark::State& state) {
-  // Many events per instant (fan-in heavy topologies): measures the batched
-  // same-timestamp dispatch against the per-pop heap fixup it replaced.
-  constexpr int kInstants = 1024;
-  constexpr int kPerInstant = 16;
-  for (auto _ : state) {
-    sim::EventQueue q;
-    std::uint64_t sum = 0;
-    for (int t = 0; t < kInstants; ++t) {
-      for (int i = 0; i < kPerInstant; ++i) {
-        q.schedule_at(sim::TimePoint::from_ns(t * 1000), [&sum] { ++sum; });
-      }
-    }
-    q.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kInstants *
-                          kPerInstant);
-}
-BENCHMARK(BM_EventQueueBatchPop);
-
 void BM_TimerWheelArmCancel(benchmark::State& state) {
   // The RTO pattern: every "ACK" cancels the pending far timer and re-arms
   // it, while near events keep the clock moving. Fired timers are the rare

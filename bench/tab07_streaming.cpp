@@ -36,11 +36,9 @@ SessionResult run_session(const app::StreamingWorkload& wl, bool multipath, Carr
                               net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
   app::StreamingSession session{tb.sim(), client, wl};
   session.start();
-  const sim::TimePoint deadline =
-      tb.sim().now() + wl.period * static_cast<double>(wl.blocks + 4) +
-      sim::Duration::seconds(600);
-  while (!session.finished() && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !session.finished(); },
+                     tb.sim().now() + wl.period * static_cast<double>(wl.blocks + 4) +
+                         sim::Duration::seconds(600));
 
   SessionResult out;
   out.completed = session.finished();

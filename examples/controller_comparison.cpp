@@ -34,8 +34,7 @@ void run(core::CcKind cc) {
     result = r;
     done = true;
   });
-  while (!done && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; });
 
   std::uint64_t wifi_bytes = 0;
   std::uint64_t cell_bytes = 0;

@@ -74,9 +74,7 @@ double run(bool anticipate) {
     result = r;
     done = true;
   });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(300);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(300));
   if (!done) {
     std::printf("  did not complete within 300 s\n");
     return -1;

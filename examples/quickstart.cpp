@@ -44,8 +44,9 @@ int main() {
       done = true;
     });
   });
-  while (!done && tb.sim().events().step()) {
-  }
+  // Run until the download finishes. The testbed's background traffic
+  // keeps scheduling itself, so the event queue never drains on its own.
+  tb.sim().run_while([&] { return !done; });
 
   // 5. Report.
   std::printf("downloaded %llu bytes in %.3f s (first SYN -> last byte)\n",

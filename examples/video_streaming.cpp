@@ -34,8 +34,7 @@ void play(const char* label, bool multipath) {
 
   app::StreamingSession session{tb.sim(), client, workload};
   session.start();
-  while (!session.finished() && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !session.finished(); });
 
   const app::StreamingResult& r = session.result();
   std::printf("\n%s\n", label);

@@ -30,9 +30,8 @@ double load_page(const app::WebPage& page, bool use_wifi, bool use_cell, std::ui
 
   app::PageLoadSession session{client, page};
   session.start();
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(120);
-  while (!session.finished() && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !session.finished(); },
+                     tb.sim().now() + sim::Duration::seconds(120));
   return session.finished() ? session.result().load_time.to_seconds() : -1.0;
 }
 

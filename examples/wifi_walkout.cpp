@@ -56,9 +56,7 @@ void run(const char* label, bool multipath) {
     result = r;
     done = true;
   });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(120);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(120));
 
   if (!done) {
     std::printf("  download STALLED (%.0f%% delivered after 120 s)\n",

@@ -28,6 +28,13 @@ std::string to_string(CcKind k) {
   return "?";
 }
 
+std::optional<CcKind> cc_from_string(const std::string& s) {
+  for (const CcKind k : {CcKind::kReno, CcKind::kCoupled, CcKind::kOlia, CcKind::kVegas}) {
+    if (s == to_string(k)) return k;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<tcp::CongestionControl> make_congestion_control(CcKind k) {
   switch (k) {
     case CcKind::kReno: return std::make_unique<tcp::NewRenoCc>();

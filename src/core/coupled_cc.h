@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -34,6 +35,8 @@ namespace mpr::core {
 enum class CcKind { kReno, kCoupled, kOlia, kVegas };
 
 [[nodiscard]] std::string to_string(CcKind k);
+/// Campaign-spec/CLI name -> kind: the to_string() spellings.
+[[nodiscard]] std::optional<CcKind> cc_from_string(const std::string& s);
 [[nodiscard]] std::unique_ptr<tcp::CongestionControl> make_congestion_control(CcKind k);
 
 /// LIA — RFC 6356 "coupled" (the MPTCP default in the paper).

@@ -112,32 +112,6 @@ bool parse_bytes(const std::string& tok, std::uint64_t* out) {
   }
 }
 
-bool parse_carrier_name(const std::string& s, Carrier* out) {
-  if (s == "att") *out = Carrier::kAtt;
-  else if (s == "verizon" || s == "vzw") *out = Carrier::kVerizon;
-  else if (s == "sprint") *out = Carrier::kSprint;
-  else return false;
-  return true;
-}
-
-bool parse_mode_name(const std::string& s, PathMode* out) {
-  if (s == "sp-wifi") *out = PathMode::kSingleWifi;
-  else if (s == "sp-cell") *out = PathMode::kSingleCellular;
-  else if (s == "mp2") *out = PathMode::kMptcp2;
-  else if (s == "mp4") *out = PathMode::kMptcp4;
-  else return false;
-  return true;
-}
-
-bool parse_cc_name(const std::string& s, core::CcKind* out) {
-  if (s == "reno") *out = core::CcKind::kReno;
-  else if (s == "coupled") *out = core::CcKind::kCoupled;
-  else if (s == "olia") *out = core::CcKind::kOlia;
-  else if (s == "vegas") *out = core::CcKind::kVegas;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
 std::uint64_t CampaignSpec::hash() const {
@@ -209,27 +183,30 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
     } else if (key == "carrier") {
       std::string name;
       double w = 0.0;
-      Carrier c{};
-      if (!(ls >> name) || !parse_carrier_name(name, &c) || !need_double(&w) || w <= 0.0) {
+      ls >> name;  // left empty on failure, which the lookup rejects
+      const std::optional<Carrier> c = carrier_from_string(name);
+      if (!c || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "carrier: `att|verizon|sprint <weight>` expected");
       }
-      spec.carriers.emplace_back(c, w);
+      spec.carriers.emplace_back(*c, w);
     } else if (key == "mode") {
       std::string name;
       double w = 0.0;
-      PathMode m{};
-      if (!(ls >> name) || !parse_mode_name(name, &m) || !need_double(&w) || w <= 0.0) {
+      ls >> name;
+      const std::optional<PathMode> m = mode_from_string(name);
+      if (!m || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "mode: `sp-wifi|sp-cell|mp2|mp4 <weight>` expected");
       }
-      spec.modes.emplace_back(m, w);
+      spec.modes.emplace_back(*m, w);
     } else if (key == "cc") {
       std::string name;
       double w = 0.0;
-      core::CcKind c{};
-      if (!(ls >> name) || !parse_cc_name(name, &c) || !need_double(&w) || w <= 0.0) {
+      ls >> name;
+      const std::optional<core::CcKind> c = core::cc_from_string(name);
+      if (!c || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "cc: `reno|coupled|olia|vegas <weight>` expected");
       }
-      spec.ccs.emplace_back(c, w);
+      spec.ccs.emplace_back(*c, w);
     } else if (key == "size") {
       std::string tok;
       double w = 0.0;

@@ -1,6 +1,7 @@
 // Carrier enumeration mapping to the calibrated access profiles (Table 1).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,14 @@ enum class Carrier { kAtt, kVerizon, kSprint };
     case Carrier::kSprint: return "Sprint";
   }
   return "?";
+}
+
+/// Campaign-spec/CLI name -> carrier: att | verizon (or vzw) | sprint.
+[[nodiscard]] inline std::optional<Carrier> carrier_from_string(const std::string& s) {
+  if (s == "att") return Carrier::kAtt;
+  if (s == "verizon" || s == "vzw") return Carrier::kVerizon;
+  if (s == "sprint") return Carrier::kSprint;
+  return std::nullopt;
 }
 
 [[nodiscard]] inline netem::AccessProfile carrier_profile(Carrier c) {

@@ -18,6 +18,14 @@ std::string to_string(PathMode m) {
   return "?";
 }
 
+std::optional<PathMode> mode_from_string(const std::string& s) {
+  if (s == "sp-wifi") return PathMode::kSingleWifi;
+  if (s == "sp-cell") return PathMode::kSingleCellular;
+  if (s == "mp2") return PathMode::kMptcp2;
+  if (s == "mp4") return PathMode::kMptcp4;
+  return std::nullopt;
+}
+
 std::string to_string(RunOutcome o) {
   switch (o) {
     case RunOutcome::kCompleted: return "completed";
@@ -233,23 +241,20 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
   }
 
   // Main event loop with an optional watchdog: the time/event caps abort a
-  // runaway run deterministically. With both caps disabled the loop's step
-  // sequence is exactly the historical one (bit-identical replays).
-  const sim::TimePoint deadline = sim.now() + run_cfg.timeout;
+  // runaway run deterministically. With both caps disabled the predicate is
+  // just !done, so the event sequence is exactly the historical one
+  // (bit-identical replays).
   const bool cap_time = run_cfg.max_sim_time > sim::Duration{};
   const sim::TimePoint hard_stop = sim.now() + run_cfg.max_sim_time;
   bool watchdog = false;
-  while (!done && sim.now() < deadline) {
-    if (cap_time && sim.now() >= hard_stop) {
-      watchdog = true;
-      break;
-    }
-    if (run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events) {
-      watchdog = true;
-      break;
-    }
-    if (!sim.events().step()) break;
-  }
+  sim.run_while(
+      [&] {
+        if (done) return false;
+        watchdog = (cap_time && sim.now() >= hard_stop) ||
+                   (run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events);
+        return !watchdog;
+      },
+      sim.now() + run_cfg.timeout);
 
   result.completed = done;
   result.sim_stats.events_executed = sim.events().executed();

@@ -19,6 +19,8 @@ namespace mpr::experiment {
 enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 
 [[nodiscard]] std::string to_string(PathMode m);
+/// Campaign-spec/CLI name -> mode: sp-wifi | sp-cell | mp2 | mp4.
+[[nodiscard]] std::optional<PathMode> mode_from_string(const std::string& s);
 
 struct RunConfig {
   PathMode mode{PathMode::kMptcp2};

@@ -19,7 +19,6 @@ EventQueue::EventQueue() {
   heap_.reserve(kInitialCapacity);
   meta_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
-  batch_.reserve(64);
 }
 
 EventQueue::~EventQueue() {
@@ -178,11 +177,13 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
   }
 }
 
-void EventQueue::execute_slot(std::uint32_t slot, std::int64_t t_ns) {
+void EventQueue::pop_and_execute() {
+  const std::int64_t t_ns = heap_[0].when_ns;
+  const std::uint32_t slot = slot_of(heap_[0].seq_slot);
+  heap_pop_top();
+  now_ = TimePoint::from_ns(t_ns);
 #if MPR_AUDIT
   clock_audit_.on_event(t_ns);
-#else
-  (void)t_ns;
 #endif
   // Mark dead before invoking so a cancel() of this very id returns false
   // (the event is running, not pending), then execute *in place*: the
@@ -197,35 +198,6 @@ void EventQueue::execute_slot(std::uint32_t slot, std::int64_t t_ns) {
   release_slot(slot);
 }
 
-void EventQueue::run_batch() {
-  // Pop the whole same-instant run in one pass, then execute back-to-back.
-  // prepare_top() already drained the wheel through this instant, so the
-  // run is complete; events scheduled *by* the batch for this same instant
-  // carry higher seqs and form the next batch, preserving FIFO order.
-  const std::int64_t t_ns = heap_[0].when_ns;
-  now_ = TimePoint::from_ns(t_ns);
-  batch_.clear();
-  do {
-    batch_.push_back(slot_of(heap_[0].seq_slot));
-    heap_pop_top();
-  } while (!heap_.empty() && heap_[0].when_ns == t_ns);
-
-  const std::size_t n = batch_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) {
-      __builtin_prefetch(&meta_[batch_[i + 1]]);
-      __builtin_prefetch(&arena_action(batch_[i + 1]));
-    }
-    // Liveness is re-checked here, not at pop: slot release is deferred so
-    // an action may cancel a later event in this very batch.
-    if (meta_[batch_[i]].live == 0) {
-      release_slot(batch_[i]);
-      continue;
-    }
-    execute_slot(batch_[i], t_ns);
-  }
-}
-
 bool EventQueue::step() {
   if (!prepare_top(kNoWheelEvent)) {
 #if MPR_AUDIT
@@ -238,35 +210,20 @@ bool EventQueue::step() {
 #endif
     return false;
   }
-  // Single-event semantics (callers interleave with their own checks), so
-  // no batching here: pop exactly the top, which prepare_top made live.
-  const std::int64_t t_ns = heap_[0].when_ns;
-  const std::uint32_t slot = slot_of(heap_[0].seq_slot);
-  heap_pop_top();
-  now_ = TimePoint::from_ns(t_ns);
-  execute_slot(slot, t_ns);
+  pop_and_execute();
   return true;
 }
 
 void EventQueue::run_until(TimePoint deadline) {
   while (prepare_top(deadline.ns())) {
-    run_batch();
+    pop_and_execute();
   }
   if (now_ < deadline) now_ = deadline;
 }
 
 void EventQueue::run() {
-  while (prepare_top(kNoWheelEvent)) {
-    run_batch();
+  while (step()) {
   }
-#if MPR_AUDIT
-  if (live_count_ != 0) {
-    check::report({.rule = "event.live_count",
-                   .detail = std::to_string(live_count_) +
-                             " live event(s) unaccounted for in a drained heap",
-                   .time_ns = now_.ns()});
-  }
-#endif
 }
 
 }  // namespace mpr::sim

@@ -32,13 +32,6 @@
 // Slot liveness/generation sits in a separate dense meta array so the
 // tombstone sweep at the heap top touches 8-byte records, not action
 // cache lines.
-//
-// The hot loop is batched: all events sharing the front timestamp are
-// popped in one pass into a scratch list and executed back-to-back with
-// the next slot's liveness prefetched, so the heap fixup and the action
-// dispatch don't interleave their cache misses. Slot release is deferred
-// to execution time so an action may cancel a later event in the same
-// batch.
 #pragma once
 
 #include <atomic>
@@ -180,20 +173,17 @@ class EventQueue {
   /// at or before the limit.
   bool prepare_top(std::int64_t limit_ns);
 
-  /// Executes every event at the current heap-top instant in one pass.
-  void run_batch();
+  /// Pops heap_[0], which prepare_top made live, advances the clock to it,
+  /// executes its action in place and recycles the slot.
+  void pop_and_execute();
 
-  /// Executes the live event in `slot` in place, then recycles the slot.
-  void execute_slot(std::uint32_t slot, std::int64_t t_ns);
-
-  // FlatVec, not std::vector: these five grow on the audited hot path, and
+  // FlatVec, not std::vector: these four grow on the audited hot path, and
   // FlatVec keeps the reallocation out of line (see sim/flat_vec.h).
   FlatVec<HeapRec> heap_;
   FlatVec<SlotMeta> meta_;  // dense: liveness/generation only
   FlatVec<Action*> arena_;  // stable owned chunks of actions (freed in dtor)
   std::size_t slot_count_{0};
   FlatVec<std::uint32_t> free_slots_;
-  FlatVec<std::uint32_t> batch_;  // scratch: slots of the popped run
   TimingWheel wheel_;
   std::int64_t wheel_next_due_ns_{kNoWheelEvent};
   TimePoint now_{};

@@ -67,6 +67,18 @@ class Simulation {
   void run_until(TimePoint t) { events_.run_until(t); }
   void run_for(Duration d) { events_.run_until(now() + d); }
 
+  /// The driver loop: before each event, tests `now() < deadline`, then
+  /// `keep_going()`, then runs one event; returns when a test fails or the
+  /// queue drains. The clock is tested before the event, not against it,
+  /// so the event that carries now() past `deadline` still runs (run_until
+  /// never passes its deadline), and `keep_going` is not called once the
+  /// deadline has passed.
+  template <typename Pred>
+  void run_while(Pred&& keep_going, TimePoint deadline = TimePoint::max()) {
+    while (now() < deadline && keep_going() && events_.step()) {
+    }
+  }
+
  private:
   using ServicePtr = std::unique_ptr<void, void (*)(void*)>;
   // Declared before events_: services must outlive queued actions (see top).

@@ -34,6 +34,25 @@ TEST(Carriers, PathModeNames) {
   EXPECT_EQ(to_string(PathMode::kMptcp4), "MP-4");
 }
 
+TEST(Carriers, NameParsersAcceptCliSpellingsOnly) {
+  EXPECT_EQ(carrier_from_string("att"), Carrier::kAtt);
+  EXPECT_EQ(carrier_from_string("verizon"), Carrier::kVerizon);
+  EXPECT_EQ(carrier_from_string("vzw"), Carrier::kVerizon);
+  EXPECT_EQ(carrier_from_string("sprint"), Carrier::kSprint);
+  EXPECT_EQ(carrier_from_string("AT&T"), std::nullopt);
+  EXPECT_EQ(mode_from_string("sp-wifi"), PathMode::kSingleWifi);
+  EXPECT_EQ(mode_from_string("sp-cell"), PathMode::kSingleCellular);
+  EXPECT_EQ(mode_from_string("mp2"), PathMode::kMptcp2);
+  EXPECT_EQ(mode_from_string("mp4"), PathMode::kMptcp4);
+  EXPECT_EQ(mode_from_string("MP-2"), std::nullopt);
+  for (const core::CcKind k :
+       {core::CcKind::kReno, core::CcKind::kCoupled, core::CcKind::kOlia, core::CcKind::kVegas}) {
+    EXPECT_EQ(core::cc_from_string(core::to_string(k)), k);
+  }
+  EXPECT_EQ(core::cc_from_string("cubic"), std::nullopt);
+  EXPECT_EQ(core::cc_from_string(""), std::nullopt);
+}
+
 TEST(Series, PeriodsCycleThroughDay) {
   EXPECT_EQ(period_name(0), "night");
   EXPECT_EQ(period_name(1), "morning");

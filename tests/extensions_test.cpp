@@ -178,9 +178,7 @@ TEST(BackupMode, BackupTakesOverWhenPrimaryDies) {
   tb.sim().after(sim::Duration::millis(800), [&] { tb.wifi_access().set_down(true); });
   bool done = false;
   client.get(6 << 20, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(300);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(300));
   ASSERT_TRUE(done) << "backup subflow must take over after WiFi death";
   std::uint64_t cell_bytes = 0;
   for (const core::MptcpSubflow* sf : client.connection().subflows()) {
@@ -207,9 +205,7 @@ TEST(HandoverReuse, WifiReusedAfterOutage) {
   tb.sim().after(sim::Duration::seconds(4), [&] { tb.wifi_access().set_down(false); });
   bool done = false;
   client.get(24 << 20, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(600);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(600));
   ASSERT_TRUE(done);
   // Find the last WiFi data delivery: it must postdate the restoration,
   // i.e. MPTCP re-used the path instead of abandoning it.

@@ -97,9 +97,7 @@ TEST(FaultInjector, CountsUnmatchedLinks) {
   FaultSchedule s;
   s.outage(0.5, "wifi").outage(0.5, "satellite").restore(1.0, "wifi");
   injector.install(s);
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(2);
-  while (tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_for(sim::Duration::seconds(2));
   EXPECT_EQ(injector.applied_events(), 2u);
   EXPECT_EQ(injector.unmatched_events(), 1u);
 }
@@ -250,11 +248,8 @@ FaultOutcome run_faulted(const FaultCase& fc, experiment::Testbed* keep_tb = nul
   };
   bool done = false;
   client.get(fc.bytes, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline =
-      tb.sim().now() + sim::Duration::from_seconds(fc.deadline_s);
-  while (!done && !client.connection().failed() && tb.sim().now() < deadline &&
-         tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
+                     tb.sim().now() + sim::Duration::from_seconds(fc.deadline_s));
 
   out.completed = done;
   out.failed = client.connection().failed();

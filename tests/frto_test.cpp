@@ -74,9 +74,7 @@ Outcome run_with_spike(bool frto, sim::Duration spike, std::uint64_t bytes,
   };
   client_ep.connect();
   client_ep.write(100);
-  const sim::TimePoint deadline = sim.now() + sim::Duration::seconds(120);
-  while (!out.completed && sim.now() < deadline && sim.events().step()) {
-  }
+  sim.run_while([&] { return !out.completed; }, sim.now() + sim::Duration::seconds(120));
   out.finish_s = sim.now().to_seconds();
   if (server_ep != nullptr) {
     out.rexmits = server_ep->metrics().rexmit_packets;

@@ -370,11 +370,8 @@ MboxOutcome run_mboxed(const MboxCase& mc, experiment::Testbed* keep_tb = nullpt
   };
   bool done = false;
   client.get(mc.bytes, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline =
-      tb.sim().now() + sim::Duration::from_seconds(mc.deadline_s);
-  while (!done && !client.connection().failed() && tb.sim().now() < deadline &&
-         tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
+                     tb.sim().now() + sim::Duration::from_seconds(mc.deadline_s));
 
   out.completed = done;
   out.failed = client.connection().failed();
@@ -534,7 +531,7 @@ TEST(Watchdog, EventCapAbortsTheRun) {
   const RunResult r = experiment::run_download(tb, rc);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.outcome, RunOutcome::kWatchdogAbort);
-  EXPECT_LE(r.sim_stats.events_executed, 5001u);
+  EXPECT_EQ(r.sim_stats.events_executed, 5000u);
 }
 
 TEST(Watchdog, DisabledCapsLeaveRunsUntouched) {

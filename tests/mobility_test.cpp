@@ -36,9 +36,7 @@ struct Rig {
   bool run(std::uint64_t bytes, sim::Duration limit = sim::Duration::seconds(300)) {
     bool done = false;
     client->get(bytes, [&](const app::FetchResult&) { done = true; });
-    const sim::TimePoint deadline = tb.sim().now() + limit;
-    while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-    }
+    tb.sim().run_while([&] { return !done; }, tb.sim().now() + limit);
     return done;
   }
 

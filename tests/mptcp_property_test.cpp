@@ -71,9 +71,7 @@ Outcome run_one(Carrier carrier, PathMode mode, CcKind cc, SchedulerKind sched,
     done = true;
     fetch = r;
   });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(900);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(900));
 
   out.completed = done;
   out.download_s = done ? fetch.download_time().to_seconds() : -1;
@@ -202,9 +200,7 @@ TEST_P(MptcpBufferSweep, TightBuffersNeverViolateCapacityOrOrder) {
       net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
   bool done = false;
   client.get(1 << 20, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(900);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(900));
   ASSERT_TRUE(done) << "buffer=" << buf;
   EXPECT_LE(client.connection().rx().max_buffered_bytes(), buf);
   EXPECT_EQ(client.connection().rx().delivered_bytes(), 1u << 20);

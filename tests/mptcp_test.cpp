@@ -209,9 +209,7 @@ struct MptcpRig {
       done = true;
       fetch = r;
     });
-    const sim::TimePoint deadline = tb.sim().now() + limit;
-    while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-    }
+    tb.sim().run_while([this] { return !done; }, tb.sim().now() + limit);
   }
 
   MptcpConnection* server_conn() {

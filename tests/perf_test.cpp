@@ -87,18 +87,15 @@ TEST(PacketHotPath, DownloadSteadyStateHasZeroPoolMisses) {
   bool done = false;
   client.get(kFileBytes, [&done](const app::FetchResult&) { done = true; });
 
-  const sim::TimePoint warmup_end = sim.now() + sim::Duration::seconds(8);
-  while (!done && sim.now() < warmup_end && sim.events().step()) {
-  }
+  const auto not_done = [&done] { return !done; };
+  sim.run_while(not_done, sim.now() + sim::Duration::seconds(8));
   ASSERT_FALSE(done) << "transfer finished inside the warm-up window; grow kFileBytes";
 
   const net::PacketPool& pool = sim.service<net::PacketPool>();
   const net::PacketPool::Stats warm = pool.stats();
   EXPECT_GT(warm.reuses, warm.allocs) << "pool not recycling during warm-up";
 
-  const sim::TimePoint deadline = sim.now() + sim::Duration::seconds(3600);
-  while (!done && sim.now() < deadline && sim.events().step()) {
-  }
+  sim.run_while(not_done, sim.now() + sim::Duration::seconds(3600));
   ASSERT_TRUE(done);
 
   const net::PacketPool::Stats steady = pool.stats();
@@ -110,7 +107,7 @@ TEST(PacketHotPath, DownloadSteadyStateHasZeroPoolMisses) {
 
 TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
   // Regression pin for the hot-path work (PR 6: flat retransmission state,
-  // timing wheel, batched dispatch; PR 8: hot/cold Packet split, stable-slot
+  // timing wheel; PR 8: hot/cold Packet split, stable-slot
   // event actions, RNG fast paths): a backlog-style two-path download must
   // sustain a minimum event rate. The floor is deliberately conservative —
   // roughly half of what the reference container sustains post-PR 8 — so it

@@ -100,9 +100,7 @@ class PausedTransfer {
     // Run until both subflows are established and carrying data, then stop
     // mid-flight (the 64 MB object takes far longer than 1.5 s) so
     // cwnd/in-flight state is realistic.
-    const sim::TimePoint deadline = tb_->sim().now() + sim::Duration::from_seconds(1.5);
-    while (tb_->sim().now() < deadline && tb_->sim().events().step()) {
-    }
+    tb_->sim().run_for(sim::Duration::from_seconds(1.5));
   }
 
   /// The server-side connection: that end is the data sender whose
@@ -279,10 +277,8 @@ Outcome run_case(const Case& c, experiment::Testbed* keep_tb = nullptr) {
   };
   bool done = false;
   client.get(c.bytes, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::from_seconds(c.deadline_s);
-  while (!done && !client.connection().failed() && tb.sim().now() < deadline &&
-         tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
+                     tb.sim().now() + sim::Duration::from_seconds(c.deadline_s));
 
   out.completed = done;
   out.finish_s = tb.sim().now().to_seconds();

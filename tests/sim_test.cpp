@@ -186,6 +186,31 @@ TEST(EventQueueTest, FifoPreservedAcrossCancelAndSlotReuse) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4}));
 }
 
+TEST(EventQueueTest, ActionCancelsLaterSameInstantEvent) {
+  // The victim is already due when the first action cancels it; it must not
+  // run, whichever loop drains the instant.
+  for (const bool use_run_until : {false, true}) {
+    EventQueue q;
+    std::vector<int> order;
+    const TimePoint t = TimePoint::from_ns(100);
+    EventId victim = kInvalidEventId;
+    q.schedule_at(t, [&] {
+      order.push_back(0);
+      EXPECT_TRUE(q.cancel(victim));
+    });
+    victim = q.schedule_at(t, [&] { order.push_back(1); });
+    q.schedule_at(t, [&] { order.push_back(2); });
+    if (use_run_until) {
+      q.run_until(t);
+    } else {
+      q.run();
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 2})) << (use_run_until ? "run_until" : "run");
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.cancel(victim));
+  }
+}
+
 TEST(EventQueueTest, HeavyCancelChurnKeepsTimeOrder) {
   EventQueue q;
   std::vector<int> fired;
@@ -564,6 +589,54 @@ TEST(SimulationTest, RunForAdvancesRelative) {
   sim.run_for(Duration::millis(10));
   sim.run_for(Duration::millis(10));
   EXPECT_EQ(sim.now().to_millis(), 20.0);
+}
+
+TEST(SimulationTest, RunWhileChecksPredicateBetweenEvents) {
+  Simulation sim{1};
+  int fired = 0;
+  int checks = 0;
+  for (int i = 1; i <= 5; ++i) sim.at(TimePoint::from_ns(i * 100), [&] { ++fired; });
+  sim.run_while([&] {
+    ++checks;
+    return fired < 3;
+  });
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(checks, 4);  // before each of the three events, then the refusal
+  EXPECT_EQ(sim.now(), TimePoint::from_ns(300));
+  EXPECT_EQ(sim.events().pending(), 2u);
+}
+
+TEST(SimulationTest, RunWhileRunsTheEventThatCrossesTheDeadline) {
+  Simulation sim{1};
+  std::vector<int> order;
+  int checks = 0;
+  sim.at(TimePoint::from_ns(100), [&] { order.push_back(1); });
+  sim.at(TimePoint::from_ns(300), [&] { order.push_back(3); });
+  sim.at(TimePoint::from_ns(400), [&] { order.push_back(4); });
+  sim.run_while(
+      [&] {
+        ++checks;
+        return true;
+      },
+      TimePoint::from_ns(200));
+  // The clock is tested before each event: at 100 it is still before the
+  // deadline, so the event at 300 runs; then the loop stops without asking
+  // the predicate again.
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(checks, 2);
+  EXPECT_EQ(sim.now(), TimePoint::from_ns(300));
+  EXPECT_EQ(sim.events().pending(), 1u);
+}
+
+TEST(SimulationTest, RunWhileReturnsWhenQueueDrains) {
+  Simulation sim{1};
+  int fired = 0;
+  sim.after(Duration::millis(1), [&] { ++fired; });
+  sim.after(Duration::millis(2), [&] { ++fired; });
+  sim.run_while([] { return true; });
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(sim.events().empty());
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(2));
 }
 
 }  // namespace

@@ -73,10 +73,7 @@ TransferOutcome run_transfer(double rate_mbps, int owd_ms, double loss,
   };
   client_ep.connect();
   client_ep.write(100);
-  const sim::TimePoint deadline =
-      sim.now() + sim::Duration::seconds(600);
-  while (!out.completed && sim.now() < deadline && sim.events().step()) {
-  }
+  sim.run_while([&] { return !out.completed; }, sim.now() + sim::Duration::seconds(600));
 
   if (server_ep != nullptr) {
     out.server_metrics = server_ep->metrics();
@@ -217,9 +214,7 @@ TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
   };
   client_ep.connect();
   client_ep.write(100);
-  const sim::TimePoint deadline = sim.now() + sim::Duration::seconds(300);
-  while (!done && sim.now() < deadline && sim.events().step()) {
-  }
+  sim.run_while([&] { return !done; }, sim.now() + sim::Duration::seconds(300));
   EXPECT_TRUE(done) << "ssthresh=" << ssthresh << " delack=" << delack << " sack=" << sack;
   EXPECT_EQ(got, 1u << 20);
 }

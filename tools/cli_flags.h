@@ -68,6 +68,22 @@ class Flags {
     return static_cast<std::uint64_t>(base * static_cast<double>(mult));
   }
 
+  /// Looks up an enum-valued flag through `parse`, one of the library's
+  /// *_from_string functions. An unknown value prints
+  /// "<tool>: --<name> <value>: expected <choices>" to stderr and yields
+  /// std::nullopt, so the tool can exit 1 instead of guessing.
+  template <typename Parse>
+  [[nodiscard]] auto get_choice(const char* tool, const std::string& name, const std::string& def,
+                                Parse parse, const char* choices) const {
+    const std::string value = get(name, def);
+    const auto parsed = parse(value);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: --%s %s: expected %s\n", tool, name.c_str(), value.c_str(),
+                   choices);
+    }
+    return parsed;
+  }
+
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
  private:

@@ -25,6 +25,7 @@
 //   --reps     repetitions (default 1)
 //   --jobs     worker threads for the reps (default MPR_JOBS, else all cores)
 //   --json     machine-readable output
+//   An unknown --mode, --carrier, --cc or --sched value exits 1.
 //
 // Population-campaign mode (see EXPERIMENTS.md "Population campaigns"):
 //   mpr_run --campaign pop.spec --checkpoint pop.ckpt
@@ -52,26 +53,6 @@ using namespace mpr;
 using namespace mpr::experiment;
 
 namespace {
-
-PathMode parse_mode(const std::string& s) {
-  if (s == "sp-wifi") return PathMode::kSingleWifi;
-  if (s == "sp-cell") return PathMode::kSingleCellular;
-  if (s == "mp4") return PathMode::kMptcp4;
-  return PathMode::kMptcp2;
-}
-
-Carrier parse_carrier(const std::string& s) {
-  if (s == "verizon" || s == "vzw") return Carrier::kVerizon;
-  if (s == "sprint") return Carrier::kSprint;
-  return Carrier::kAtt;
-}
-
-core::CcKind parse_cc(const std::string& s) {
-  if (s == "olia") return core::CcKind::kOlia;
-  if (s == "reno") return core::CcKind::kReno;
-  if (s == "vegas") return core::CcKind::kVegas;
-  return core::CcKind::kCoupled;
-}
 
 /// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
 /// Returns false on an unknown name or malformed weight list.
@@ -265,15 +246,23 @@ int main(int argc, char** argv) {
   }
   if (flags.has("campaign")) return run_campaign_cli(flags);
 
+  const auto carrier =
+      flags.get_choice("mpr_run", "carrier", "att", carrier_from_string, "att | verizon | sprint");
+  const auto mode = flags.get_choice("mpr_run", "mode", "mp2", mode_from_string,
+                                     "sp-wifi | sp-cell | mp2 | mp4");
+  const auto cc = flags.get_choice("mpr_run", "cc", "coupled", core::cc_from_string,
+                                   "coupled | olia | reno | vegas");
+  if (!carrier || !mode || !cc) return 1;
+
   TestbedConfig tb;
   tb.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   tb.wifi = flags.get_bool("hotspot") ? netem::wifi_hotspot() : netem::wifi_home();
-  tb.cellular = carrier_profile(parse_carrier(flags.get("carrier", "att")));
+  tb.cellular = carrier_profile(*carrier);
   tb.cellular.codel_downlink = flags.get_bool("codel");
 
   RunConfig rc;
-  rc.mode = parse_mode(flags.get("mode", "mp2"));
-  rc.cc = parse_cc(flags.get("cc", "coupled"));
+  rc.mode = *mode;
+  rc.cc = *cc;
   if (const std::string sched = flags.get("sched", "minrtt"); !parse_sched(sched, rc)) {
     std::fprintf(stderr,
                  "mpr_run: --sched %s: expected minrtt | rr | roundrobin | "

@@ -13,6 +13,7 @@
 #include "app/http.h"
 #include "cli_flags.h"
 #include "experiment/carriers.h"
+#include "experiment/run.h"
 #include "experiment/testbed.h"
 
 using namespace mpr;
@@ -20,33 +21,38 @@ using namespace mpr::experiment;
 
 int main(int argc, char** argv) {
   const tools::Flags flags{argc, argv};
+  const auto carrier = flags.get_choice("mpr_trace", "carrier", "att", carrier_from_string,
+                                        "att | verizon | sprint");
+  const auto mode = flags.get_choice("mpr_trace", "mode", "mp2", mode_from_string,
+                                     "sp-wifi | sp-cell | mp2 | mp4");
+  const auto cc = flags.get_choice("mpr_trace", "cc", "coupled", core::cc_from_string,
+                                   "coupled | olia | reno | vegas");
+  if (!carrier || !mode || !cc) return 1;
 
   TestbedConfig tb_cfg;
   tb_cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   tb_cfg.capture_trace = true;
-  const std::string carrier = flags.get("carrier", "att");
-  tb_cfg.cellular = carrier == "verizon" ? netem::verizon_lte()
-                    : carrier == "sprint" ? netem::sprint_evdo()
-                                          : netem::att_lte();
+  tb_cfg.cellular = carrier_profile(*carrier);
   Testbed tb{tb_cfg};
 
   core::MptcpConfig cfg;
-  if (flags.get("cc", "coupled") == "olia") cfg.cc = core::CcKind::kOlia;
-  if (flags.get("cc", "coupled") == "reno") cfg.cc = core::CcKind::kReno;
+  cfg.cc = *cc;
   const std::uint64_t size = flags.get_size("size", 512 << 10);
 
-  app::MptcpHttpServer server{tb.server(), kHttpPort, cfg, {},
+  // Interfaces and advertised addresses per mode, as run_download sets them.
+  std::vector<net::IpAddr> advertise;
+  if (*mode == PathMode::kMptcp4) advertise.push_back(kServerAddr2);
+  app::MptcpHttpServer server{tb.server(), kHttpPort, cfg, advertise,
                               [size](std::uint64_t) { return size; }};
-  std::vector<net::IpAddr> addrs{kClientWifiAddr};
-  if (flags.get("mode", "mp2") != "sp-wifi") addrs.push_back(kClientCellAddr);
+  std::vector<net::IpAddr> addrs;
+  if (*mode != PathMode::kSingleCellular) addrs.push_back(kClientWifiAddr);
+  if (*mode != PathMode::kSingleWifi) addrs.push_back(kClientCellAddr);
   app::MptcpHttpClient client{tb.client(), cfg, addrs,
                               net::SocketAddr{kServerAddr1, kHttpPort}};
 
   bool done = false;
   client.get(size, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(600);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
+  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(600));
   std::fprintf(stderr, "download %s; %zu trace records\n", done ? "completed" : "TIMED OUT",
                tb.trace()->size());
 
