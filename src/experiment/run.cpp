@@ -88,6 +88,11 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
       run_cfg.mode == PathMode::kMptcp2 || run_cfg.mode == PathMode::kMptcp4;
   const bool use_wifi = run_cfg.mode != PathMode::kSingleCellular;
   const bool use_cell = run_cfg.mode != PathMode::kSingleWifi;
+  // A single-path run sends nothing on its other interface, so the
+  // cross-traffic there could change no result: stop it before it costs
+  // an event.
+  if (!use_wifi) tb.wifi_access().stop_background();
+  if (!use_cell) tb.cell_access().stop_background();
 
   const net::SocketAddr server_sock{kServerAddr1, kHttpPort};
   const auto object_size = [&run_cfg](std::uint64_t) { return run_cfg.file_bytes; };

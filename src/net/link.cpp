@@ -69,7 +69,14 @@ void Link::finish_service(PacketPtr p) {
     last_delivery_ = deliver_at;
     ++stats_.packets_delivered;
     stats_.bytes_delivered += p->wire_bytes();
-    sim_.at(deliver_at, [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
+    if (p->cross_traffic) {
+      // Cross-traffic has no receiver. Its airtime, loss and delay draws
+      // and the FIFO floor it just set are all it does to real packets, so
+      // it ends here rather than as a delivery event.
+      p.reset();
+    } else {
+      sim_.at(deliver_at, [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
+    }
   }
   maybe_start_service();
 }

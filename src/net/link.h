@@ -5,6 +5,11 @@
 // Delivery order is FIFO even when extra delay varies: cellular RLC delivers
 // in sequence, so a delayed packet head-of-line blocks the ones behind it.
 // This is the mechanism behind the RTT spikes the paper observes on 3G.
+//
+// Cross-traffic packets (Packet::cross_traffic) go through every step up
+// to delivery — queue, airtime, wire loss, extra delay, the FIFO floor,
+// Stats — and are then released: nothing receives them, so they get no
+// delivery event.
 #pragma once
 
 #include <cstdint>

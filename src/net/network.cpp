@@ -34,7 +34,7 @@ void Network::send(PacketPtr p) {
 
 void Network::deliver_local(PacketPtr p) {
   const auto it = hosts_.find(p->dst);
-  if (it == hosts_.end()) return;  // background/phantom traffic sinks here
+  if (it == hosts_.end()) return;  // no host owns the address: dropped
   notify(TraceEvent::Kind::kDeliver, *p);
   it->second(std::move(p));
 }

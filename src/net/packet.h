@@ -353,6 +353,10 @@ struct Packet {
   IpAddr dst;
   std::uint32_t payload_bytes{0};
   bool is_retransmit{false};       // sender-side metadata for tracing
+  /// Phantom load from netem::BackgroundTraffic: it occupies queues and
+  /// airtime like any packet, but has no receiver, so the link releases it
+  /// once it has left the wire instead of scheduling its delivery.
+  bool cross_traffic{false};
   sim::TimePoint first_sent_time;  // stamped by the sending endpoint
   sim::TimePoint enqueue_time;     // stamped by the queue (CoDel sojourn time)
   /// Owning pool when pool-managed (set once by PacketPool, never reset):

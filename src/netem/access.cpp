@@ -97,6 +97,12 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
   network.set_access(client_addr, up_.get(), down_.get());
 }
 
+void AccessNetwork::stop_background() {
+  for (BackgroundTraffic* bg : {background_.get(), background_up_.get()}) {
+    if (bg != nullptr) bg->stop();
+  }
+}
+
 void AccessNetwork::set_rate_scale(double factor) {
   fault_rate_scale_ = std::max(factor, 1e-3);
   // Install composing rate fns (they stay installed once faults are in use;

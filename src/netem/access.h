@@ -106,6 +106,11 @@ class AccessNetwork {
   void set_down(bool down);
   [[nodiscard]] bool is_down() const { return down_state_; }
 
+  /// Stops the cross-traffic generators of both directions, for a run that
+  /// never uses this interface: nothing on it would be measured, and each
+  /// generator draws from its own stream, so no other draw moves.
+  void stop_background();
+
   // --- Fault-injection hooks (netem::FaultInjector) ---
 
   /// Scales both directions' service rate by `factor` (1.0 = nominal),

@@ -10,9 +10,12 @@ BackgroundTraffic::BackgroundTraffic(sim::Simulation& sim, net::Link& link, Conf
   if (config_.on_utilization > 0.0 && config_.on_fraction > 0.0) schedule_next();
 }
 
-void BackgroundTraffic::schedule_next() {
-  if (stopped_) return;
+void BackgroundTraffic::stop() {
+  sim_.cancel(pending_);
+  pending_ = sim::kInvalidEventId;
+}
 
+void BackgroundTraffic::schedule_next() {
   const sim::TimePoint now = sim_.now();
   // Advance ON/OFF phases past `now`.
   while (now >= phase_end_) {
@@ -24,20 +27,20 @@ void BackgroundTraffic::schedule_next() {
 
   if (!on_) {
     // Sleep through the OFF phase.
-    sim_.at(phase_end_, [this] { schedule_next(); });
+    pending_ = sim_.at(phase_end_, [this] { schedule_next(); });
     return;
   }
 
   const double rate_bps = link_.config().rate_bps * config_.on_utilization;
   const double mean_gap_s = static_cast<double>(config_.packet_bytes) * 8.0 / rate_bps;
   const double gap_s = rng_.exponential(mean_gap_s);
-  sim_.after(sim::Duration::from_seconds(gap_s), [this] {
-    if (stopped_) return;
+  pending_ = sim_.after(sim::Duration::from_seconds(gap_s), [this] {
     if (on_ && sim_.now() < phase_end_) {
       net::PacketPtr p = sim_.service<net::PacketPool>().acquire();
       p->src = config_.phantom_src;
       p->dst = config_.phantom_dst;
       p->payload_bytes = config_.packet_bytes - 40;
+      p->cross_traffic = true;
       ++injected_;
       link_.send(std::move(p));
     }

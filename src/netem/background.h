@@ -5,7 +5,9 @@
 // same AP/backhaul (the coffee-shop hotspot of Fig 6, and milder
 // time-of-day load on the home network). The process is a modulated Poisson
 // source: exponential ON/OFF phases; during ON phases packets arrive at a
-// rate targeting `on_utilization` of the link's base rate.
+// rate targeting `on_utilization` of the link's base rate. Its packets are
+// marked Packet::cross_traffic, which ends them at the wire (net/link.h).
+// The generator keeps exactly one event pending at a time.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,9 @@ class BackgroundTraffic {
   /// Starts generating immediately. `link` must outlive this object.
   BackgroundTraffic(sim::Simulation& sim, net::Link& link, Config config, sim::Rng rng);
 
-  void stop() { stopped_ = true; }
+  /// Stops injecting and cancels the pending event: a stopped generator
+  /// costs no further events.
+  void stop();
   [[nodiscard]] std::uint64_t packets_injected() const { return injected_; }
 
  private:
@@ -48,7 +52,7 @@ class BackgroundTraffic {
   sim::Rng rng_;
   bool on_{false};
   sim::TimePoint phase_end_{};
-  bool stopped_{false};
+  sim::EventId pending_{sim::kInvalidEventId};
   std::uint64_t injected_{0};
 };
 

@@ -174,6 +174,7 @@ void Middlebox::emit(net::PacketPtr p, Dir& d) {
     rest->tcp.flags = p->tcp.flags;
     rest->payload_bytes = p->payload_bytes - first_len;
     rest->is_retransmit = p->is_retransmit;
+    rest->cross_traffic = p->cross_traffic;
     rest->first_sent_time = p->first_sent_time;
     // The head half keeps every option (its DSS mapping now over-covers);
     // the tail half carries none and inherits a FIN if one was present.

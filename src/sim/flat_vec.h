@@ -100,6 +100,24 @@ class FlatVec {
     size_ = n;
   }
 
+  /// Inserts `v` before position `i` (i <= size), shifting the tail up.
+  void insert_at(std::size_t i, const T& v) {
+    assert(i <= size_);
+    if (size_ == cap_) [[unlikely]] {
+      grow(size_ + 1);
+    }
+    std::copy_backward(data_ + i, data_ + size_, data_ + size_ + 1);
+    data_[i] = v;
+    ++size_;
+  }
+
+  /// Removes the elements at positions [first, last), shifting the tail down.
+  void erase(std::size_t first, std::size_t last) {
+    assert(first <= last && last <= size_);
+    std::copy(data_ + last, data_ + size_, data_ + first);
+    size_ -= last - first;
+  }
+
   /// Ensures capacity >= n (geometric, so repeated reserve(n+1) stays
   /// amortized-constant like push_back).
   void reserve(std::size_t n) {

@@ -21,9 +21,11 @@
 // front-biased erases, tiny population bounded by the window), so it gets a
 // sorted flat vector instead:
 //
-//   SeqFlatMap  sorted std::vector keyed by seq; insert shifts the tail
+//   SeqFlatMap  sorted sim::FlatVec keyed by seq; insert shifts the tail
 //               (cheap at these sizes), lookup is binary search, in-order
 //               iteration — which feeds SACK-block generation — is linear.
+//               Growth is FlatVec's out-of-line cold grow(), so inlining
+//               insert into the receive path never inlines an allocation.
 #pragma once
 
 #include <cassert>
@@ -31,6 +33,8 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "sim/flat_vec.h"
 
 namespace mpr::tcp {
 
@@ -104,7 +108,9 @@ class SegRing {
  private:
   [[nodiscard]] std::size_t mask() const { return buf_.size() - 1; }
 
-  void grow() {
+  // The ring's only allocation, out of line and cold (as FlatVec::grow):
+  // push_back inlines into the send path, and the growth must not.
+  [[gnu::noinline, gnu::cold]] void grow() {
     const std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
     std::vector<Rec> next(cap);
     for (std::size_t i = 0; i < count_; ++i) next[i] = std::move(at(i));
@@ -143,13 +149,13 @@ class SeqFlatMap {
   void insert(std::uint64_t seq, T val) {
     const std::size_t i = lower_bound(seq);
     if (i < v_.size() && v_[i].seq == seq) return;
-    v_.insert(v_.begin() + static_cast<std::ptrdiff_t>(i), Rec{seq, std::move(val)});
+    v_.insert_at(i, Rec{seq, std::move(val)});
   }
 
   /// Removes the i-th record in sequence order.
   void erase_at(std::size_t i) {
     assert(i < v_.size());
-    v_.erase(v_.begin() + static_cast<std::ptrdiff_t>(i));
+    v_.erase(i, i + 1);
   }
 
   /// Value stored at exactly `seq`; nullptr if absent.
@@ -161,10 +167,7 @@ class SeqFlatMap {
 
   /// Removes every record with rec.seq < seq (cumulative-ack sweep). A
   /// shift of the surviving tail — no node frees, unlike a tree erase.
-  void erase_below(std::uint64_t seq) {
-    const std::size_t i = lower_bound(seq);
-    v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
+  void erase_below(std::uint64_t seq) { v_.erase(0, lower_bound(seq)); }
 
   [[nodiscard]] std::size_t lower_bound(std::uint64_t seq) const {
     std::size_t lo = 0;
@@ -181,7 +184,7 @@ class SeqFlatMap {
   }
 
  private:
-  std::vector<Rec> v_;
+  sim::FlatVec<Rec> v_;  // Rec must be trivially copyable (FlatVec's contract)
 };
 
 }  // namespace mpr::tcp

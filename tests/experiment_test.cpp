@@ -2,6 +2,11 @@
 // aggregation helpers, carrier mapping and table formatting.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "experiment/carriers.h"
 #include "experiment/run.h"
 #include "experiment/series.h"
@@ -254,6 +259,114 @@ TEST(Run, TimeoutMarksIncomplete) {
   const RunResult r = run_download(tb, rc);
   EXPECT_FALSE(r.completed);
   EXPECT_DOUBLE_EQ(r.download_time_s, 0.3);
+}
+
+// Output lock: one seeded run per path mode on the loaded hotspot +
+// Verizon testbed, MP-2 under a lossy fault script, and two runs cut at
+// 1.5 s of simulated time, pinned field by field (the download time by its
+// bit pattern). A cut run ends after the first event at or past its cap
+// (Simulation::run_while), so its row also pins which event that was. Work
+// that must not move simulated output — hot-path and event-count
+// reductions, refactors — has to keep every value here; a change that
+// means to move them re-records the table and says why.
+//
+// The values are the same for gcc and clang on x86-64: the simulator's
+// arithmetic is IEEE double without fused multiply-add on that target, and
+// no expression draws twice from an Rng in an unsequenced order.
+struct PinnedPath {
+  std::uint64_t data_packets_sent;
+  std::uint64_t rexmit_packets;
+  std::size_t rtt_samples;
+};
+
+// What a pinned run adds to the plain download.
+enum class PinVariant {
+  kPlain,
+  kFaults,      // the lossy fault script below
+  kMaxSimTime,  // the max_sim_time watchdog stops it at 1.5 s
+  kTimeout,     // the timeout stops it at 1.5 s
+};
+
+struct PinnedRun {
+  const char* label;
+  PathMode mode;
+  PinVariant variant;
+  RunOutcome outcome;
+  std::uint64_t delivered_bytes;
+  std::uint64_t download_time_bits;
+  PinnedPath wifi;
+  PinnedPath cellular;
+  std::size_t ofo_samples;
+  std::uint64_t reinjections;
+};
+
+RunResult pinned_run(const PinnedRun& pin) {
+  TestbedConfig tb;
+  tb.seed = 2013;
+  tb.wifi = netem::wifi_hotspot();
+  tb.cellular = carrier_profile(Carrier::kVerizon);
+  RunConfig rc;
+  rc.mode = pin.mode;
+  rc.file_bytes = 2 << 20;
+  rc.timeout = sim::Duration::seconds(120);
+  if (pin.variant == PinVariant::kMaxSimTime) rc.max_sim_time = sim::Duration::millis(1500);
+  if (pin.variant == PinVariant::kTimeout) rc.timeout = sim::Duration::millis(1500);
+  if (pin.variant == PinVariant::kFaults) {
+    // Every episode ends before WiFi goes down, as in the lossy benchmark.
+    std::istringstream script{
+        "1.0 wifi burstloss 0.05 0.3 0.005 0.3\n"
+        "1.8 wifi lossclear\n"
+        "1.1 cell outage\n"
+        "1.5 cell restore\n"
+        "1.2 cell rate 0.5\n"
+        "1.9 cell rate 1\n"
+        "1.3 conn sched redundant\n"
+        "2.0 conn sched minrtt\n"
+        "2.4 wifi ifdown\n"
+        "3.2 wifi ifup\n"};
+    std::string error;
+    rc.faults = netem::FaultSchedule::parse(script, &error);
+    EXPECT_EQ(error, "");
+  }
+  return run_download(tb, rc);
+}
+
+TEST(Run, PinnedOutputsPerPathMode) {
+  const PinnedRun pins[] = {
+      {"SP-WiFi", PathMode::kSingleWifi, PinVariant::kPlain, RunOutcome::kCompleted, 2097152,
+       0x4015d577d1032388ULL, {1562, 64, 565}, {0, 0, 0}, 0, 0},
+      {"SP-Cell", PathMode::kSingleCellular, PinVariant::kPlain, RunOutcome::kCompleted, 2097152,
+       0x401fe50920c3a28bULL, {0, 0, 0}, {1498, 0, 756}, 0, 0},
+      {"MP-2", PathMode::kMptcp2, PinVariant::kPlain, RunOutcome::kCompleted, 2097152,
+       0x40107987b7190662ULL, {688, 38, 285}, {848, 0, 428}, 1498, 0},
+      {"MP-4", PathMode::kMptcp4, PinVariant::kPlain, RunOutcome::kCompleted, 2097152,
+       0x400c0fd891c0cbfdULL, {846, 75, 305}, {727, 0, 386}, 1498, 0},
+      {"MP-2+faults", PathMode::kMptcp2, PinVariant::kFaults, RunOutcome::kCompleted, 2097152,
+       0x40116b7da2b1dffcULL, {870, 44, 339}, {757, 45, 340}, 1498, 40},
+      {"SP-WiFi@max_sim_time", PathMode::kSingleWifi, PinVariant::kMaxSimTime,
+       RunOutcome::kWatchdogAbort, 522200, 0x405e000000000001ULL, {390, 15, 134}, {0, 0, 0}, 0, 0},
+      {"MP-2@timeout", PathMode::kMptcp2, PinVariant::kTimeout, RunOutcome::kTimeout, 782600,
+       0x3ff8000000000000ULL, {352, 24, 137}, {290, 0, 129}, 559, 0},
+  };
+  for (const PinnedRun& pin : pins) {
+    const RunResult r = pinned_run(pin);
+    const auto expect_path = [&pin](const PathStats& got, const PinnedPath& want,
+                                    const char* path) {
+      EXPECT_EQ(got.data_packets_sent, want.data_packets_sent) << pin.label << " " << path;
+      EXPECT_EQ(got.rexmit_packets, want.rexmit_packets) << pin.label << " " << path;
+      EXPECT_EQ(got.rtt_ms.size(), want.rtt_samples) << pin.label << " " << path;
+    };
+    const auto time_bits = std::bit_cast<std::uint64_t>(r.download_time_s);
+    EXPECT_EQ(r.outcome, pin.outcome) << pin.label;
+    EXPECT_EQ(r.delivered_bytes, pin.delivered_bytes) << pin.label;
+    EXPECT_EQ(time_bits, pin.download_time_bits)
+        << pin.label << " download_time_s=" << r.download_time_s << " bits=0x" << std::hex
+        << time_bits;
+    expect_path(r.wifi, pin.wifi, "wifi");
+    expect_path(r.cellular, pin.cellular, "cellular");
+    EXPECT_EQ(r.ofo_ms.size(), pin.ofo_samples) << pin.label;
+    EXPECT_EQ(r.reinjections, pin.reinjections) << pin.label;
+  }
 }
 
 TEST(Run, LoadFactorScalesDifficulty) {

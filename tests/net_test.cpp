@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/host.h"
@@ -87,6 +88,7 @@ void scribble_packet(Packet& p, sim::Rng& rng) {
   p.dst = IpAddr{static_cast<std::uint32_t>(rng.uniform_int(1, 255))};
   p.payload_bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 1460));
   p.is_retransmit = rng.chance(0.5);
+  p.cross_traffic = rng.chance(0.5);
   p.first_sent_time = sim::TimePoint::from_ns(rng.uniform_int(1, 1'000'000));
   p.enqueue_time = sim::TimePoint::from_ns(rng.uniform_int(1, 1'000'000));
   p.tcp.src_port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
@@ -127,6 +129,7 @@ void expect_packet_is_fresh(const Packet& p, PacketPool* expected_pool) {
   EXPECT_EQ(p.dst, fresh.dst);
   EXPECT_EQ(p.payload_bytes, fresh.payload_bytes);
   EXPECT_EQ(p.is_retransmit, fresh.is_retransmit);
+  EXPECT_EQ(p.cross_traffic, fresh.cross_traffic);
   EXPECT_EQ(p.first_sent_time.ns(), fresh.first_sent_time.ns());
   EXPECT_EQ(p.enqueue_time.ns(), fresh.enqueue_time.ns());
   EXPECT_EQ(p.origin_pool, expected_pool);
@@ -355,6 +358,56 @@ TEST_F(LinkTest, ExtraDelayPreservesFifoOrder) {
   EXPECT_EQ(delivered[1].tcp.seq, 2u);
   EXPECT_GE(times[1], times[0]);
   EXPECT_GT(times[0].to_millis(), 50.0);
+}
+
+/// Never drops; counts its draws.
+class CountingLoss final : public LossModel {
+ public:
+  explicit CountingLoss(int* draws) : draws_{draws} {}
+  [[nodiscard]] bool should_drop() override {
+    ++*draws_;
+    return false;
+  }
+
+ private:
+  int* draws_;
+};
+
+TEST_F(LinkTest, CrossTrafficEndsAtTheWire) {
+  // A cross-traffic packet with a +50 ms ARQ stall, then a real packet.
+  // The phantom takes its loss and delay draws, is counted and holds the
+  // FIFO floor, but is released at the wire: the deliver callback sees only
+  // the real packet, and the events are two service completions plus one
+  // delivery.
+  Link link = make_link({.name = "l", .rate_bps = 1e9,
+                         .prop_delay = sim::Duration::millis(1),
+                         .queue_capacity_bytes = 1 << 20});
+  int loss_draws = 0;
+  link.set_loss_model(std::make_unique<CountingLoss>(&loss_draws));
+  int delay_draws = 0;
+  link.set_extra_delay_fn([&delay_draws]() {
+    return (delay_draws++ == 0) ? sim::Duration::millis(50) : sim::Duration::zero();
+  });
+  PacketPtr phantom = packet(100);
+  phantom->cross_traffic = true;
+  PacketPtr real = packet(100);
+  real->tcp.seq = 7;
+  link.send(std::move(phantom));
+  link.send(std::move(real));
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_FALSE(delivered[0].cross_traffic);
+  EXPECT_EQ(delivered[0].tcp.seq, 7u);
+  // The phantom would have arrived after its 1.12 us of airtime + 1 ms
+  // propagation + 50 ms stall; unstalled, the real packet would be at ~1 ms.
+  const sim::TimePoint phantom_arrival =
+      sim::TimePoint::origin() + sim::Duration::from_seconds(140 * 8 / 1e9) +
+      sim::Duration::millis(51);
+  EXPECT_GE(times[0], phantom_arrival);
+  EXPECT_EQ(link.stats().packets_delivered, 2u);
+  EXPECT_EQ(loss_draws, 2);
+  EXPECT_EQ(delay_draws, 2);
+  EXPECT_EQ(sim.events().executed(), 3u);
 }
 
 TEST_F(LinkTest, GateDefersServiceStart) {

@@ -131,36 +131,38 @@ TEST(RrcTest, DemotesAfterIdleTimeout) {
   EXPECT_EQ(rrc.promotions(), 2u);
 }
 
+// Cross-traffic never reaches the deliver callback (the link releases it
+// at the wire), so the achieved load is read from the link's own counters.
 TEST(BackgroundTest, InjectsAtConfiguredUtilization) {
   sim::Simulation sim{7};
-  std::uint64_t delivered_bytes = 0;
   net::Link link{sim,
                  {.name = "l", .rate_bps = 10e6, .prop_delay = sim::Duration::millis(1),
                   .queue_capacity_bytes = 1 << 20},
-                 [&](net::PacketPtr p) { delivered_bytes += p->wire_bytes(); }};
+                 [](net::PacketPtr) {}};
   BackgroundTraffic bg{sim, link,
                        {.on_utilization = 0.5, .on_fraction = 1.0,
                         .mean_on = sim::Duration::seconds(10)},
                        sim.rng("bg")};
   sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(20));
-  const double achieved = static_cast<double>(delivered_bytes) * 8.0 / 20.0 / 10e6;
+  const double achieved =
+      static_cast<double>(link.stats().bytes_delivered) * 8.0 / 20.0 / 10e6;
   EXPECT_NEAR(achieved, 0.5, 0.05);
   EXPECT_GT(bg.packets_injected(), 0u);
 }
 
 TEST(BackgroundTest, OnOffDutyCycle) {
   sim::Simulation sim{8};
-  std::uint64_t delivered_bytes = 0;
   net::Link link{sim,
                  {.name = "l", .rate_bps = 10e6, .prop_delay = sim::Duration::millis(1),
                   .queue_capacity_bytes = 1 << 20},
-                 [&](net::PacketPtr p) { delivered_bytes += p->wire_bytes(); }};
+                 [](net::PacketPtr) {}};
   BackgroundTraffic bg{sim, link,
                        {.on_utilization = 0.8, .on_fraction = 0.25,
                         .mean_on = sim::Duration::seconds(1)},
                        sim.rng("bg")};
   sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(60));
-  const double achieved = static_cast<double>(delivered_bytes) * 8.0 / 60.0 / 10e6;
+  const double achieved =
+      static_cast<double>(link.stats().bytes_delivered) * 8.0 / 60.0 / 10e6;
   // Long-run utilization = on_utilization * on_fraction = 0.2.
   EXPECT_NEAR(achieved, 0.2, 0.06);
 }
@@ -176,10 +178,14 @@ TEST(BackgroundTest, StopHaltsInjection) {
                         .mean_on = sim::Duration::seconds(10)},
                        sim.rng("bg")};
   sim.run_for(sim::Duration::seconds(1));
+  const std::size_t pending_before = sim.events().pending();
   bg.stop();
+  // The generator's one pending event is cancelled, not left to fire.
+  EXPECT_EQ(sim.events().pending(), pending_before - 1);
   const std::uint64_t before = bg.packets_injected();
   sim.run_for(sim::Duration::seconds(5));
   EXPECT_EQ(bg.packets_injected(), before);
+  EXPECT_TRUE(sim.events().empty());
 }
 
 TEST(ProfilesTest, AllProfilesHaveSaneParameters) {
@@ -233,6 +239,21 @@ TEST(AccessNetworkTest, BuildsAndRegistersWithNetwork) {
   sim.run_for(sim::Duration::seconds(1));
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(access.uplink().stats().packets_delivered, 1u);
+}
+
+TEST(AccessNetworkTest, StopBackgroundSilencesBothDirections) {
+  // The hotspot profile loads both directions; one call stops both
+  // generators before they inject anything, and nothing stays scheduled.
+  sim::Simulation sim{13};
+  net::Network network{sim};
+  AccessNetwork access{sim, network, net::IpAddr{1}, wifi_hotspot()};
+  ASSERT_GT(access.profile().bg_up_utilization, 0.0);
+  access.stop_background();
+  EXPECT_TRUE(sim.events().empty());
+  sim.run_for(sim::Duration::seconds(10));
+  EXPECT_EQ(access.downlink().stats().packets_offered, 0u);
+  EXPECT_EQ(access.uplink().stats().packets_offered, 0u);
+  EXPECT_EQ(sim.events().executed(), 0u);
 }
 
 TEST(AccessNetworkTest, CellularRrcDelaysColdStart) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <random>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -96,15 +95,15 @@ TEST(SegRingTest, LowerBoundMatchesMapReference) {
 }
 
 TEST(SeqFlatMapTest, InsertKeepsOrderAndDedups) {
-  SeqFlatMap<std::string> m;
-  m.insert(50, "c");
-  m.insert(10, "a");
-  m.insert(30, "b");
-  m.insert(30, "DUPLICATE");  // first insert wins, like map::emplace
+  SeqFlatMap<char> m;
+  m.insert(50, 'c');
+  m.insert(10, 'a');
+  m.insert(30, 'b');
+  m.insert(30, 'D');  // duplicate: first insert wins, like map::emplace
   ASSERT_EQ(m.size(), 3u);
   EXPECT_EQ(m.at(0).seq, 10u);
   EXPECT_EQ(m.at(1).seq, 30u);
-  EXPECT_EQ(m.at(1).val, "b");
+  EXPECT_EQ(m.at(1).val, 'b');
   EXPECT_EQ(m.at(2).seq, 50u);
   EXPECT_TRUE(m.contains(30));
   EXPECT_FALSE(m.contains(31));
