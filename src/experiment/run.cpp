@@ -246,20 +246,24 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
   }
 
   // Main event loop with an optional watchdog: the time/event caps abort a
-  // runaway run deterministically. With both caps disabled the predicate is
-  // just !done, so the event sequence is exactly the historical one
-  // (bit-identical replays).
-  const bool cap_time = run_cfg.max_sim_time > sim::Duration{};
-  const sim::TimePoint hard_stop = sim.now() + run_cfg.max_sim_time;
+  // runaway run deterministically. The run stops at the earlier of the
+  // timeout and the max_sim_time cap, before the first event past it, so a
+  // cut run reports only what happened inside the cap. With both caps
+  // disabled the predicate is just !done, so the event sequence is exactly
+  // the historical one (bit-identical replays).
+  const sim::TimePoint timeout_at = sim.now() + run_cfg.timeout;
+  const bool cap_time = run_cfg.max_sim_time > sim::Duration{} &&
+                        sim.now() + run_cfg.max_sim_time < timeout_at;
   bool watchdog = false;
   sim.run_while(
       [&] {
         if (done) return false;
-        watchdog = (cap_time && sim.now() >= hard_stop) ||
-                   (run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events);
+        watchdog = run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events;
         return !watchdog;
       },
-      sim.now() + run_cfg.timeout);
+      cap_time ? sim.now() + run_cfg.max_sim_time : timeout_at);
+  // Stopped short of completion with events still pending: the cap cut it.
+  if (cap_time && !done && !sim.events().empty()) watchdog = true;
 
   result.completed = done;
   result.sim_stats.events_executed = sim.events().executed();

@@ -41,12 +41,14 @@ struct RunConfig {
   /// Join the cellular subflow in backup mode (RFC 6824 B bit): it carries
   /// data only when the WiFi path fails. Extension experiment.
   bool cellular_backup{false};
-  /// Give up (incomplete run) after this much simulated time.
+  /// Give up (incomplete run) after this much simulated time: events at
+  /// the bound still run, the first one after it does not.
   sim::Duration timeout{sim::Duration::seconds(3600)};
-  /// Watchdog: hard-abort the run (RunOutcome::kWatchdogAbort) once the
-  /// simulated clock passes this bound, regardless of progress. Zero (the
-  /// default) disables the cap; the event-step sequence is then untouched,
-  /// preserving bit-identical replays of older configs.
+  /// Watchdog: hard-abort the run (RunOutcome::kWatchdogAbort) at this
+  /// bound, regardless of progress, cutting it the way `timeout` does. It
+  /// applies only when shorter than `timeout`. Zero (the default) disables
+  /// the cap; the event-step sequence is then untouched, preserving
+  /// bit-identical replays of older configs.
   sim::Duration max_sim_time{};
   /// Watchdog: hard-abort after this many executed events (0 = unlimited).
   /// Catches livelocks that burn events without advancing the clock.

@@ -198,10 +198,12 @@ void EventQueue::pop_and_execute() {
   release_slot(slot);
 }
 
-bool EventQueue::step() {
-  if (!prepare_top(kNoWheelEvent)) {
+bool EventQueue::step(TimePoint limit) {
+  if (!prepare_top(limit.ns())) {
 #if MPR_AUDIT
-    if (live_count_ != 0) {
+    // Only an unbounded step proves the queue drained; a bounded one
+    // leaves the events after its limit pending.
+    if (limit == TimePoint::max() && live_count_ != 0) {
       check::report({.rule = "event.live_count",
                      .detail = std::to_string(live_count_) +
                                " live event(s) unaccounted for in a drained heap",
@@ -215,8 +217,7 @@ bool EventQueue::step() {
 }
 
 void EventQueue::run_until(TimePoint deadline) {
-  while (prepare_top(deadline.ns())) {
-    pop_and_execute();
+  while (step(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
 }

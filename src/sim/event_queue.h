@@ -85,8 +85,10 @@ class EventQueue {
   /// Cancels a pending event. Returns true if the event was still pending.
   bool cancel(EventId id);
 
-  /// Runs a single event. Returns false if the queue was empty.
-  bool step();
+  /// Runs the earliest pending event if it is due at or before `limit`.
+  /// Returns false, running nothing, when no live event is due by then.
+  /// The one bounded step behind run_until and Simulation::run_while.
+  bool step(TimePoint limit = TimePoint::max());
 
   /// Runs events until the queue drains or `deadline` is passed. Events at
   /// exactly `deadline` still run; now() never exceeds `deadline` afterwards.

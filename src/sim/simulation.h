@@ -67,15 +67,15 @@ class Simulation {
   void run_until(TimePoint t) { events_.run_until(t); }
   void run_for(Duration d) { events_.run_until(now() + d); }
 
-  /// The driver loop: before each event, tests `now() < deadline`, then
-  /// `keep_going()`, then runs one event; returns when a test fails or the
-  /// queue drains. The clock is tested before the event, not against it,
-  /// so the event that carries now() past `deadline` still runs (run_until
-  /// never passes its deadline), and `keep_going` is not called once the
-  /// deadline has passed.
+  /// The driver loop: before each event, tests `keep_going()`, then runs
+  /// the next event if it is due at or before `deadline`; returns when the
+  /// predicate refuses, the queue drains, or the next event lies past the
+  /// deadline. Same rule as run_until: events at `deadline` run, the first
+  /// one after it does not, so what a cut run did depends only on events
+  /// inside the cap. The clock is left at the last event that ran.
   template <typename Pred>
   void run_while(Pred&& keep_going, TimePoint deadline = TimePoint::max()) {
-    while (now() < deadline && keep_going() && events_.step()) {
+    while (keep_going() && events_.step(deadline)) {
     }
   }
 

@@ -264,8 +264,8 @@ TEST(Run, TimeoutMarksIncomplete) {
 // Output lock: one seeded run per path mode on the loaded hotspot +
 // Verizon testbed, MP-2 under a lossy fault script, and two runs cut at
 // 1.5 s of simulated time, pinned field by field (the download time by its
-// bit pattern). A cut run ends after the first event at or past its cap
-// (Simulation::run_while), so its row also pins which event that was. Work
+// bit pattern). A cut run stops before the first event past its cap
+// (Simulation::run_while), so its row pins everything that ran inside it. Work
 // that must not move simulated output — hot-path and event-count
 // reductions, refactors — has to keep every value here; a change that
 // means to move them re-records the table and says why.

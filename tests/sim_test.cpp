@@ -606,26 +606,31 @@ TEST(SimulationTest, RunWhileChecksPredicateBetweenEvents) {
   EXPECT_EQ(sim.events().pending(), 2u);
 }
 
-TEST(SimulationTest, RunWhileRunsTheEventThatCrossesTheDeadline) {
+TEST(SimulationTest, RunWhileStopsBeforeTheFirstEventPastTheDeadline) {
   Simulation sim{1};
   std::vector<int> order;
   int checks = 0;
   sim.at(TimePoint::from_ns(100), [&] { order.push_back(1); });
+  sim.at(TimePoint::from_ns(200), [&] { order.push_back(2); });
   sim.at(TimePoint::from_ns(300), [&] { order.push_back(3); });
-  sim.at(TimePoint::from_ns(400), [&] { order.push_back(4); });
   sim.run_while(
       [&] {
         ++checks;
         return true;
       },
       TimePoint::from_ns(200));
-  // The clock is tested before each event: at 100 it is still before the
-  // deadline, so the event at 300 runs; then the loop stops without asking
-  // the predicate again.
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(checks, 2);
-  EXPECT_EQ(sim.now(), TimePoint::from_ns(300));
+  // run_until's rule: the event at the deadline runs, the one after it does
+  // not, and the clock stays at the last event that ran. The predicate is
+  // asked before each event and once more before the refused step.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(checks, 3);
+  EXPECT_EQ(sim.now(), TimePoint::from_ns(200));
   EXPECT_EQ(sim.events().pending(), 1u);
+  // The bounded step itself: nothing is due by 250, the event at 300 is.
+  EXPECT_FALSE(sim.events().step(TimePoint::from_ns(250)));
+  EXPECT_EQ(sim.now(), TimePoint::from_ns(200));
+  EXPECT_TRUE(sim.events().step(TimePoint::from_ns(300)));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SimulationTest, RunWhileReturnsWhenQueueDrains) {
