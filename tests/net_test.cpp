@@ -195,46 +195,6 @@ TEST(LossTest, BernoulliMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(drops) / kTrials, 0.2, 0.015);
 }
 
-TEST(LossTest, GeometricSkipMatchesBernoulliDistribution) {
-  // Geometric-skip sampling draws the *gap to the next drop* instead of one
-  // Bernoulli trial per packet. The drop pattern must stay distributionally
-  // identical: same drop rate, geometric run lengths with mean (1-p)/p.
-  sim::Simulation sim{3};
-  const double p = 0.2;
-  BernoulliLoss m{p, sim.rng("loss")};
-  m.enable_geometric_skip();
-  int drops = 0;
-  std::int64_t gap_sum = 0;
-  int gaps = 0;
-  int gap = 0;
-  constexpr int kTrials = 200000;
-  for (int i = 0; i < kTrials; ++i) {
-    if (m.should_drop()) {
-      ++drops;
-      gap_sum += gap;
-      ++gaps;
-      gap = 0;
-    } else {
-      ++gap;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / kTrials, p, 0.01);
-  // Packets passed between consecutive drops ~ Geometric(p), mean (1-p)/p.
-  EXPECT_NEAR(static_cast<double>(gap_sum) / gaps, (1.0 - p) / p, 0.2);
-}
-
-TEST(LossTest, GeometricSkipDegenerateProbabilities) {
-  sim::Simulation sim{3};
-  BernoulliLoss never{0.0, sim.rng("a")};
-  never.enable_geometric_skip();  // no-op: p=0 never draws in either mode
-  BernoulliLoss always{1.0, sim.rng("b")};
-  always.enable_geometric_skip();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(never.should_drop());
-    EXPECT_TRUE(always.should_drop());
-  }
-}
-
 TEST(LossTest, GilbertElliottMatchesSteadyState) {
   sim::Simulation sim{3};
   GilbertElliottLoss::Params params{.p_good_to_bad = 0.01,
