@@ -1,17 +1,20 @@
 // Shared helpers for the reproduction benches.
 //
-// Every bench binary regenerates one table or figure of the paper: it runs
-// the measurement campaign on the simulated testbed and prints the same
-// rows/series the paper reports, annotated with the paper's reference
-// values where the paper gives concrete numbers. Absolute values are not
-// expected to match (the substrate is a calibrated simulator); the shape
-// is the reproduction target (see EXPERIMENTS.md).
+// Every bench binary runs one measurement campaign of the paper on the
+// simulated testbed, once, and prints every table and figure the paper
+// reads off it: the same rows/series the paper reports, annotated with the
+// paper's reference values where the paper gives concrete numbers.
+// Absolute values are not expected to match (the substrate is a calibrated
+// simulator); the shape is the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_interposer.h"
@@ -132,6 +135,118 @@ inline std::string pm(const std::vector<double>& values, int precision = 2) {
   const Summary s = summarize(values);
   if (s.n == 0) return "-";
   return analysis::format_pm(s.mean, s.stderr_mean, precision);
+}
+
+/// One paper campaign's runs: every entry label's run set at each object
+/// size. The figures and tables of a paper section are views of one
+/// Campaign, as the paper reads them off one set of traces.
+struct Campaign {
+  std::vector<std::uint64_t> sizes;
+  std::vector<std::string> labels;  // entry order, as the download-time view lists them
+  std::map<std::string, std::vector<std::vector<RunResult>>> runs;  // [label][size index]
+
+  [[nodiscard]] const std::vector<RunResult>& at(const std::string& label,
+                                                 std::uint64_t size) const {
+    const auto i = std::find(sizes.begin(), sizes.end(), size) - sizes.begin();
+    return runs.at(label).at(static_cast<std::size_t>(i));
+  }
+};
+
+/// Runs `entries(size)` through run_matrix once per size, seeded `seed(size)`.
+template <typename Entries, typename Seed>
+Campaign run_by_size(std::vector<std::uint64_t> sizes, int reps, Entries entries, Seed seed) {
+  Campaign c{std::move(sizes), {}, {}};
+  for (const std::uint64_t size : c.sizes) {
+    const std::vector<MatrixEntry> es = entries(size);
+    if (c.labels.empty()) {
+      for (const MatrixEntry& e : es) c.labels.push_back(e.label);
+    }
+    for (auto& [label, rs] : experiment::run_matrix(es, reps, seed(size))) {
+      c.runs[label].push_back(std::move(rs));
+    }
+  }
+  return c;
+}
+
+/// The single-path and MP-2/MP-4 × controller entries of a download-time
+/// matrix on one testbed, labelled "SP-WiFi", "MP-2(coupled)", ...
+inline std::vector<MatrixEntry> path_mode_entries(const TestbedConfig& tb, std::uint64_t size,
+                                                  const std::vector<core::CcKind>& ccs) {
+  std::vector<MatrixEntry> entries;
+  for (const PathMode mode : {PathMode::kSingleWifi, PathMode::kSingleCellular}) {
+    RunConfig rc;
+    rc.mode = mode;
+    rc.file_bytes = size;
+    entries.push_back({to_string(mode), tb, rc});
+  }
+  for (const PathMode mode : {PathMode::kMptcp2, PathMode::kMptcp4}) {
+    for (const core::CcKind cc : ccs) {
+      RunConfig rc;
+      rc.mode = mode;
+      rc.cc = cc;
+      rc.file_bytes = size;
+      entries.push_back({to_string(mode) + "(" + core::to_string(cc) + ")", tb, rc});
+    }
+  }
+  return entries;
+}
+
+/// Download-time view: per object size, one box line per entry (with the
+/// mean±stderr first when `with_mean`).
+inline void print_download_times(const Campaign& c, int width, bool with_mean = false) {
+  for (const std::uint64_t size : c.sizes) {
+    std::printf("\n-- object size %s --\n", experiment::fmt_size(size).c_str());
+    for (const std::string& label : c.labels) {
+      const std::vector<RunResult>& rs = c.at(label, size);
+      if (with_mean) {
+        std::printf("  %-*s mean=%-12s box=%s\n", width, label.c_str(), mean_s(rs).c_str(),
+                    box_s(rs).c_str());
+      } else {
+        std::printf("  %-*s %s\n", width, label.c_str(), box_s(rs).c_str());
+      }
+    }
+  }
+}
+
+/// Cellular-fraction view: a header of object sizes, then per row the mean
+/// cellular traffic share of the campaign's `label` runs at each size.
+struct FractionRow {
+  std::string name;
+  std::string label;
+};
+inline void print_cell_fraction(const Campaign& c, const char* corner, int width,
+                                const std::vector<FractionRow>& rows) {
+  std::printf("%-*s", width, corner);
+  for (const std::uint64_t s : c.sizes) std::printf("%10s", experiment::fmt_size(s).c_str());
+  std::printf("\n");
+  for (const FractionRow& row : rows) {
+    std::printf("%-*s", width, row.name.c_str());
+    for (const std::uint64_t size : c.sizes) {
+      std::printf("%9.0f%%", experiment::mean_cellular_fraction(c.at(row.label, size)) * 100.0);
+    }
+    std::printf("\n");
+  }
+}
+
+/// The paper's loss (%) and RTT (ms) cells of one path, one per size.
+struct PaperPath {
+  const char* loss[4];
+  const char* rtt[4];
+};
+
+/// Path-characteristics view: the loss and RTT (mean±stderr) of the
+/// campaign's single-path `label` runs at each size, beside the paper's.
+inline void print_path_chars(const char* name, const Campaign& c, const std::string& label,
+                             bool cellular, const PaperPath& paper, int paper_width = 8) {
+  std::printf("\n%s:\n  %-8s %-18s %-*s %-20s %-*s\n", name, "size", "loss% (measured)",
+              paper_width, "(paper)", "RTT ms (measured)", paper_width, "(paper)");
+  for (std::size_t i = 0; i < c.sizes.size(); ++i) {
+    const std::vector<RunResult>& rs = c.at(label, c.sizes[i]);
+    std::printf("  %-8s %-18s %-*s %-20s %-*s\n", experiment::fmt_size(c.sizes[i]).c_str(),
+                pm(experiment::loss_rates_percent(rs, cellular)).c_str(), paper_width,
+                paper.loss[i], pm(experiment::per_run_mean_rtt_ms(rs, cellular), 1).c_str(),
+                paper_width, paper.rtt[i]);
+  }
 }
 
 }  // namespace mpr::bench

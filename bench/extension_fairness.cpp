@@ -109,14 +109,23 @@ int main() {
       {"vs MP-2 reno", core::CcKind::kReno},
   };
 
+  // Every (scenario, rep) run is independent: run them in parallel, then
+  // aggregate in (scenario, rep) order so the output is the same at any
+  // MPR_JOBS.
+  std::vector<FairnessResult> results(std::size(rows) * static_cast<std::size_t>(n));
+  sim::parallel_for_index(results.size(), jobs(), [&](std::size_t k) {
+    results[k] = run(rows[k / n].cc, 7070 + k % n);
+  });
+
   double baseline = 0;
   std::printf("  %-18s %-22s %-18s\n", "scenario", "competitor goodput", "MPTCP goodput");
-  for (const Row& row : rows) {
+  for (std::size_t r_i = 0; r_i < std::size(rows); ++r_i) {
+    const Row& row = rows[r_i];
     double mbps = 0;
     double mp_time = 0;
     int mp_runs = 0;
     for (int i = 0; i < n; ++i) {
-      const FairnessResult r = run(row.cc, 7070 + static_cast<std::uint64_t>(i));
+      const FairnessResult& r = results[r_i * n + i];
       mbps += r.competitor_mbps;
       if (row.cc && r.mptcp_time_s > 0) {
         mp_time += r.mptcp_time_s;

@@ -64,12 +64,21 @@ int main() {
   header("Extension: handover", "WiFi re-use delay after an outage (128 MB download)",
          "re-use delay = restoration -> first new WiFi data; grows with RTO backoff");
   const int n = reps(5);
+  const std::vector<double> outages{0.5, 2.0, 8.0, 30.0};
+  // Every (outage, rep) session is independent: run them in parallel, then
+  // aggregate in (outage, rep) order so the output is the same at any
+  // MPR_JOBS.
+  std::vector<ReuseResult> results(outages.size() * static_cast<std::size_t>(n));
+  sim::parallel_for_index(results.size(), jobs(), [&](std::size_t k) {
+    results[k] = run_outage(outages[k / n], 4040 + k % n);
+  });
   std::printf("%-12s %-16s %-14s\n", "outage", "reuse delay", "(mean over runs)");
-  for (const double outage : {0.5, 2.0, 8.0, 30.0}) {
+  for (std::size_t o = 0; o < outages.size(); ++o) {
+    const double outage = outages[o];
     double sum = 0;
     int counted = 0;
     for (int i = 0; i < n; ++i) {
-      const ReuseResult r = run_outage(outage, 4040 + static_cast<std::uint64_t>(i));
+      const ReuseResult& r = results[o * n + i];
       if (r.completed && r.reuse_delay_s >= 0) {
         sum += r.reuse_delay_s;
         ++counted;

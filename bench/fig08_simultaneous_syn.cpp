@@ -21,19 +21,20 @@ int main() {
     // Paired runs: both establishment modes see the identical testbed
     // (same seed, same radio conditions), so the comparison isolates the
     // SYN scheduling instead of run-to-run path variation.
-    std::vector<RunResult> delayed_rs;
-    std::vector<RunResult> simsyn_rs;
-    for (int i = 0; i < n; ++i) {
+    // The pairs are independent: run them in parallel, indexed by rep.
+    std::vector<RunResult> delayed_rs(static_cast<std::size_t>(n));
+    std::vector<RunResult> simsyn_rs(static_cast<std::size_t>(n));
+    sim::parallel_for_index(delayed_rs.size(), jobs(), [&](std::size_t i) {
       TestbedConfig tbi = tb;
-      tbi.seed = 808 + size + static_cast<std::uint64_t>(i) * 1315423911ull;
+      tbi.seed = 808 + size + i * 1315423911ull;
       RunConfig delayed;
       delayed.mode = PathMode::kMptcp2;
       delayed.file_bytes = size;
       RunConfig simultaneous = delayed;
       simultaneous.simultaneous_syns = true;
-      delayed_rs.push_back(run_download(tbi, delayed));
-      simsyn_rs.push_back(run_download(tbi, simultaneous));
-    }
+      delayed_rs[i] = run_download(tbi, delayed);
+      simsyn_rs[i] = run_download(tbi, simultaneous);
+    });
     const Summary d = experiment::download_time_summary(delayed_rs);
     const Summary s = experiment::download_time_summary(simsyn_rs);
     const double reduction = d.mean > 0 ? (d.mean - s.mean) / d.mean * 100.0 : 0.0;

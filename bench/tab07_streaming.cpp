@@ -62,6 +62,13 @@ void run_workload(const char* name, app::StreamingWorkload wl, int n) {
               static_cast<double>(wl.prefetch_bytes) / kMB,
               static_cast<double>(wl.block_bytes) / kMB, wl.period.to_seconds(),
               static_cast<unsigned long long>(wl.blocks));
+  // Single-path sessions first, then multipath, each in rep order: the
+  // sessions are independent, so they run in parallel and are summed in
+  // this order at any MPR_JOBS.
+  std::vector<SessionResult> sessions(2 * static_cast<std::size_t>(n));
+  sim::parallel_for_index(sessions.size(), jobs(), [&](std::size_t k) {
+    sessions[k] = run_session(wl, k >= static_cast<std::size_t>(n), Carrier::kAtt, 1616 + k % n);
+  });
   for (const bool multipath : {false, true}) {
     double prefetch = 0;
     double block_mean = 0;
@@ -72,8 +79,7 @@ void run_workload(const char* name, app::StreamingWorkload wl, int n) {
     std::uint64_t missed = 0;
     int completed = 0;
     for (int i = 0; i < n; ++i) {
-      const SessionResult r =
-          run_session(wl, multipath, Carrier::kAtt, 1616 + static_cast<std::uint64_t>(i));
+      const SessionResult& r = sessions[(multipath ? n : 0) + i];
       if (!r.completed) continue;
       ++completed;
       prefetch += r.prefetch_s;
