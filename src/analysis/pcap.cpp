@@ -107,15 +107,21 @@ std::optional<std::vector<PcapPacket>> read_pcap(const std::string& path) {
 
   std::vector<PcapPacket> out;
   for (;;) {
+    // The capture ends cleanly only between records; a partial record
+    // header or captured bytes past the end of the file are truncation.
     std::uint32_t rec[4];
-    if (std::fread(rec, sizeof rec, 1, f.get()) != 1) break;  // EOF
-    if (rec[2] < kHeaderBytes) return std::nullopt;
+    const std::size_t got = std::fread(rec, 1, sizeof rec, f.get());
+    if (got == 0) break;
+    if (got != sizeof rec || rec[2] < kHeaderBytes) return std::nullopt;
     std::uint8_t buf[kHeaderBytes];
     if (std::fread(buf, kHeaderBytes, 1, f.get()) != 1) return std::nullopt;
-    // Skip any extra captured bytes (we never write more).
-    if (rec[2] > kHeaderBytes &&
-        std::fseek(f.get(), static_cast<long>(rec[2] - kHeaderBytes), SEEK_CUR) != 0) {
-      return std::nullopt;
+    // Skip any extra captured bytes (we never write more). Read, not
+    // fseek: seeking past the end of the file succeeds.
+    for (std::uint32_t extra = rec[2] - kHeaderBytes; extra > 0;) {
+      std::uint8_t skip[512];
+      const std::size_t n = std::min<std::size_t>(extra, sizeof skip);
+      if (std::fread(skip, 1, n, f.get()) != n) return std::nullopt;
+      extra -= static_cast<std::uint32_t>(n);
     }
     PcapPacket p;
     p.timestamp_s = static_cast<double>(rec[0]) + static_cast<double>(rec[1]) * 1e-6;

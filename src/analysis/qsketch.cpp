@@ -169,7 +169,11 @@ bool QSketch::deserialize(const char** cursor, const char* end) {
     return false;
   }
   if (p == end) return false;
-  const bool has_samples = *p++ != 0;
+  // serialize() writes the flag as 0 or 1 and the buckets in strictly
+  // increasing index order; anything else is not a sketch it wrote.
+  const char flag = *p++;
+  if (flag != 0 && flag != 1) return false;
+  const bool has_samples = flag == 1;
   if (!get_u64(&p, end, &n_buckets)) return false;
   if (!(alpha > 0.0 && alpha < 1.0)) return false;
   if (n_buckets > static_cast<std::uint64_t>(end - p) / 12) return false;
@@ -183,7 +187,8 @@ bool QSketch::deserialize(const char** cursor, const char* end) {
   for (std::uint64_t i = 0; i < n_buckets; ++i) {
     std::int32_t index = 0;
     std::uint64_t count = 0;
-    if (!get_i32(&p, end, &index) || !get_u64(&p, end, &count)) {
+    if (!get_i32(&p, end, &index) || !get_u64(&p, end, &count) ||
+        (!buckets_.empty() && index <= buckets_.rbegin()->first)) {
       *this = QSketch{alpha};
       return false;
     }

@@ -167,7 +167,10 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
     std::string key;
     if (!(ls >> key)) continue;  // blank / comment-only
 
-    const auto need_u64 = [&](std::uint64_t* out) { return static_cast<bool>(ls >> *out); };
+    // istream reads "-1" into an unsigned as 2^64-1; no count is negative.
+    const auto need_u64 = [&](std::uint64_t* out) {
+      return (ls >> std::ws).peek() != '-' && static_cast<bool>(ls >> *out);
+    };
     const auto need_double = [&](double* out) { return static_cast<bool>(ls >> *out); };
 
     if (key == "users") {
@@ -220,8 +223,9 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
         return fail(line_no, "hotspot-prob: probability in [0,1] expected");
       }
     } else if (key == "rtt-sigma") {
-      if (!need_double(&spec.rtt_sigma) || spec.rtt_sigma < 0.0) {
-        return fail(line_no, "rtt-sigma: non-negative sigma expected");
+      // Above 1 a sampled delay factor could overflow the clock.
+      if (!need_double(&spec.rtt_sigma) || spec.rtt_sigma < 0.0 || spec.rtt_sigma > 1.0) {
+        return fail(line_no, "rtt-sigma: sigma in [0, 1] expected");
       }
     } else if (key == "loss-scale") {
       if (!need_double(&spec.loss_scale_lo) || !need_double(&spec.loss_scale_hi) ||
@@ -234,12 +238,15 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
         return fail(line_no, "mbox-strip-prob: probability in [0,1] expected");
       }
     } else if (key == "timeout") {
-      if (!need_double(&spec.timeout_s) || spec.timeout_s <= 0.0) {
-        return fail(line_no, "timeout: positive seconds expected");
+      // At least the clock's 1 ns tick, which a smaller value truncates to 0.
+      if (!need_double(&spec.timeout_s) || !(spec.timeout_s >= 1e-9) ||
+          spec.timeout_s > sim::kMaxInputSeconds) {
+        return fail(line_no, "timeout: seconds in [1e-9, 1e9] expected");
       }
     } else if (key == "max-sim-time") {
-      if (!need_double(&spec.max_sim_time_s) || spec.max_sim_time_s < 0.0) {
-        return fail(line_no, "max-sim-time: non-negative seconds expected (0 disables)");
+      if (!need_double(&spec.max_sim_time_s) || spec.max_sim_time_s < 0.0 ||
+          spec.max_sim_time_s > sim::kMaxInputSeconds) {
+        return fail(line_no, "max-sim-time: seconds in [0, 1e9] expected (0 disables)");
       }
     } else if (key == "max-events") {
       if (!need_u64(&spec.max_events)) return fail(line_no, "max-events: integer expected");

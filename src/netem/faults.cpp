@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -151,6 +152,7 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
     std::string link, action;
     if (!(tok >> link >> action)) return fail(line_no, "expected '<time_s> <link> <action>'");
     if (at_s < 0) return fail(line_no, "negative event time");
+    if (at_s > sim::kMaxInputSeconds) return fail(line_no, "event time beyond 1e9 s");
 
     // "mbox" and "sched" take a textual subcommand before their numeric
     // arguments.
@@ -161,11 +163,19 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
                                : "sched needs a strategy (minrtt, rr, weighted, redundant)");
     }
 
+    // Each argument must be one whole number: streaming doubles straight
+    // off the line would drop an overflowing last one (1e309) silently.
     std::vector<double> args;
-    for (double v = 0; tok >> v;) args.push_back(v);
-    if (!tok.eof()) return fail(line_no, "trailing non-numeric argument");
+    for (std::string word; tok >> word;) {
+      double v = 0;
+      std::istringstream arg{word};
+      if (!(arg >> v) || !arg.eof()) return fail(line_no, "non-numeric argument '" + word + "'");
+      args.push_back(v);
+    }
 
     auto need = [&](std::size_t n) { return args.size() == n; };
+    // Millisecond arguments become sim::Duration when the event applies.
+    auto ms_ok = [](double ms) { return ms >= 0 && ms <= sim::kMaxInputSeconds * 1e3; };
     if (action == "outage" || action == "blackout") {
       if (!need(0)) return fail(line_no, "outage takes no arguments");
       out.outage(at_s, link);
@@ -176,7 +186,7 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
       if (!need(1) || args[0] <= 0) return fail(line_no, "rate needs one factor > 0");
       out.rate_scale(at_s, link, args[0]);
     } else if (action == "delay") {
-      if (!need(1) || args[0] < 0) return fail(line_no, "delay needs extra ms >= 0");
+      if (!need(1) || !ms_ok(args[0])) return fail(line_no, "delay needs extra ms in [0, 1e12]");
       out.delay_add(at_s, link, args[0]);
     } else if (action == "burstloss") {
       if (!need(4)) return fail(line_no, "burstloss needs p_g2b p_b2g loss_g loss_b");
@@ -202,15 +212,19 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
         if (!need(0)) return fail(line_no, "mbox " + sub + " takes no arguments");
         out.middlebox(at_s, link, sub);
       } else if (sub == "nat_seq") {
-        if (!need(1) || args[0] < 0) return fail(line_no, "mbox nat_seq needs an offset >= 0");
+        if (!need(1) || args[0] < 0 || args[0] >= 0x1p64) {
+          return fail(line_no, "mbox nat_seq needs an offset in [0, 2^64)");
+        }
         out.middlebox(at_s, link, sub, args[0]);
       } else if (sub == "split" || sub == "corrupt") {
-        if (!need(1) || args[0] < 1) {
-          return fail(line_no, "mbox " + sub + " needs an every-n count >= 1");
+        if (!need(1) || args[0] < 1 || args[0] > std::numeric_limits<std::uint32_t>::max()) {
+          return fail(line_no, "mbox " + sub + " needs an every-n count in [1, 2^32)");
         }
         out.middlebox(at_s, link, sub, args[0]);
       } else if (sub == "coalesce") {
-        if (!need(1) || args[0] < 0) return fail(line_no, "mbox coalesce needs hold ms >= 0");
+        if (!need(1) || !ms_ok(args[0])) {
+          return fail(line_no, "mbox coalesce needs hold ms in [0, 1e12]");
+        }
         out.middlebox(at_s, link, sub, args[0]);
       } else {
         return fail(line_no, "unknown mbox subcommand '" + sub + "'");

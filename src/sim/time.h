@@ -84,6 +84,11 @@ class TimePoint {
   std::int64_t ns_{0};
 };
 
+/// Longest span, in seconds, that a scenario or campaign file may ask for:
+/// ~31 years, far past any run and far inside the int64 nanosecond clock,
+/// so an accepted value converts exactly and adds to any run's now().
+inline constexpr double kMaxInputSeconds = 1e9;
+
 /// Human-readable rendering, e.g. "12.345ms", for logs and test output.
 [[nodiscard]] std::string to_string(Duration d);
 [[nodiscard]] std::string to_string(TimePoint t);
