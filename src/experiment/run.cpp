@@ -252,8 +252,8 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
   // disabled the predicate is just !done, so the event sequence is exactly
   // the historical one (bit-identical replays).
   const sim::TimePoint timeout_at = sim.now() + run_cfg.timeout;
-  const bool cap_time = run_cfg.max_sim_time > sim::Duration{} &&
-                        sim.now() + run_cfg.max_sim_time < timeout_at;
+  const sim::TimePoint cap_at = sim.now() + run_cfg.max_sim_time;
+  const bool cap_time = run_cfg.max_sim_time > sim::Duration{} && cap_at < timeout_at;
   bool watchdog = false;
   sim.run_while(
       [&] {
@@ -261,7 +261,7 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
         watchdog = run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events;
         return !watchdog;
       },
-      cap_time ? sim.now() + run_cfg.max_sim_time : timeout_at);
+      cap_time ? cap_at : timeout_at);
   // Stopped short of completion with events still pending: the cap cut it.
   if (cap_time && !done && !sim.events().empty()) watchdog = true;
 
