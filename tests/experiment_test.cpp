@@ -369,6 +369,32 @@ TEST(Run, PinnedOutputsPerPathMode) {
   }
 }
 
+// A time cap stops the run before the first event past it. On the pinned
+// testbed at 1 s that event is a WiFi data delivery, which the old rule
+// (stop after the event that crosses the cap) still ran: 1400 bytes more.
+// The table's 1.5 s rows happen not to tell the two rules apart. A timeout
+// and a max_sim_time cap at the same instant cut at the same event.
+TEST(Run, TimeCapStopsBeforeTheEventPastIt) {
+  TestbedConfig tb;
+  tb.seed = 2013;
+  tb.wifi = netem::wifi_hotspot();
+  tb.cellular = carrier_profile(Carrier::kVerizon);
+  RunConfig rc;
+  rc.mode = PathMode::kSingleWifi;
+  rc.file_bytes = 2 << 20;
+  rc.max_sim_time = sim::Duration::seconds(1);
+  const RunResult capped = run_download(tb, rc);
+  EXPECT_EQ(capped.outcome, RunOutcome::kWatchdogAbort);
+  EXPECT_EQ(capped.delivered_bytes, 491400u);
+
+  rc.max_sim_time = sim::Duration{};
+  rc.timeout = sim::Duration::seconds(1);
+  const RunResult timed_out = run_download(tb, rc);
+  EXPECT_EQ(timed_out.outcome, RunOutcome::kTimeout);
+  EXPECT_EQ(timed_out.delivered_bytes, capped.delivered_bytes);
+  EXPECT_EQ(timed_out.wifi.rtt_ms.size(), capped.wifi.rtt_ms.size());
+}
+
 TEST(Run, LoadFactorScalesDifficulty) {
   TestbedConfig calm;
   calm.seed = 33;
