@@ -22,7 +22,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kMptcp2;
       rc.file_bytes = 8 * kMB;
-      rc.receive_buffer = 256 * kKB;
+      rc.receive_buffer = rc.subflow.receive_buffer = 256 * kKB;
       rc.penalization = pen;
       const auto rs = experiment::run_series(tb3g, rc, n, 2020);
       double penalizations = 0;
@@ -41,7 +41,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kSingleCellular;
       rc.file_bytes = 4 * kMB;
-      rc.ssthresh = ssthresh;
+      rc.subflow.initial_ssthresh = ssthresh;
       const auto rs = experiment::run_series(tb, rc, n, 2121);
       const auto rtt = experiment::per_run_mean_rtt_ms(rs, true);
       std::printf("  ssthresh=%-8s mean=%-12s cell RTT=%sms\n",
@@ -90,7 +90,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kSingleCellular;
       rc.file_bytes = 8 * kMB;
-      rc.frto = frto;
+      rc.subflow.frto_enabled = frto;
       const auto rs = experiment::run_series(tb3g, rc, n, 2424);
       std::printf("  frto=%-5s mean=%-12s cell loss%%=%s\n", frto ? "on" : "off",
                   mean_s(rs).c_str(),
@@ -107,7 +107,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kMptcp2;
       rc.file_bytes = 8 * kMB;
-      rc.receive_buffer = buf;
+      rc.receive_buffer = rc.subflow.receive_buffer = buf;
       const auto rs = experiment::run_series(tb3g, rc, n, 2323);
       std::printf("  rcvbuf=%-8s mean=%s\n", experiment::fmt_size(buf).c_str(),
                   mean_s(rs).c_str());

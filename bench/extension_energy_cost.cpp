@@ -28,7 +28,7 @@ int main() {
       entries.push_back({"SP-LTE", tb, rc});
       rc.mode = PathMode::kMptcp2;
       entries.push_back({"MP-2", tb, rc});
-      rc.cellular_backup = true;
+      rc.backup_local_addrs = {experiment::kClientCellAddr};
       entries.push_back({"MP-2 backup", tb, rc});
     }
     const auto results = experiment::run_matrix(entries, n, 3030 + size);

@@ -1,10 +1,6 @@
 #include "experiment/run.h"
 
-#include <memory>
-
-#include "app/http.h"
 #include "check/audit.h"
-#include "netem/energy.h"
 
 namespace mpr::experiment {
 
@@ -71,201 +67,178 @@ void collect_mptcp(RunResult& result, core::MptcpConnection& client_conn,
 
 }  // namespace
 
-RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg) {
-  Testbed tb{testbed_cfg};
-  sim::Simulation& sim = tb.sim();
-  if (tb.trace() != nullptr) {
+Session::Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg)
+    : cfg_{run_cfg},
+      tb_{testbed_cfg},
+      wifi_meter_{tb_.wifi_access().profile().power},
+      cell_meter_{tb_.cell_access().profile().power},
+      injector_{tb_.sim()} {
+  if (tb_.trace() != nullptr) {
     // ~1 send + 1 deliver per data packet plus ACK traffic and handshakes.
-    tb.trace()->reserve_records(run_cfg.file_bytes / 1400 * 3 + 4096);
+    tb_.trace()->reserve_records(cfg_.file_bytes / 1400 * 3 + 4096);
   }
 
-  tcp::TcpConfig tcfg;
-  tcfg.initial_ssthresh = run_cfg.ssthresh;
-  tcfg.receive_buffer = run_cfg.receive_buffer;
-  tcfg.frto_enabled = run_cfg.frto;
-
-  const bool multipath =
-      run_cfg.mode == PathMode::kMptcp2 || run_cfg.mode == PathMode::kMptcp4;
-  const bool use_wifi = run_cfg.mode != PathMode::kSingleCellular;
-  const bool use_cell = run_cfg.mode != PathMode::kSingleWifi;
+  const bool multipath = cfg_.mode == PathMode::kMptcp2 || cfg_.mode == PathMode::kMptcp4;
+  const bool use_wifi = cfg_.mode != PathMode::kSingleCellular;
+  const bool use_cell = cfg_.mode != PathMode::kSingleWifi;
   // A single-path run sends nothing on its other interface, so the
   // cross-traffic there could change no result: stop it before it costs
   // an event.
-  if (!use_wifi) tb.wifi_access().stop_background();
-  if (!use_cell) tb.cell_access().stop_background();
-
-  const net::SocketAddr server_sock{kServerAddr1, kHttpPort};
-  const auto object_size = [&run_cfg](std::uint64_t) { return run_cfg.file_bytes; };
-
-  RunResult result;
-  bool done = false;
-  app::FetchResult fetch;
+  if (!use_wifi) tb_.wifi_access().stop_background();
+  if (!use_cell) tb_.cell_access().stop_background();
 
   // Device radio energy accounting: airtime of the client's own packets at
   // the (possibly run-scaled) access rates.
-  netem::EnergyMeter wifi_meter{tb.wifi_access().profile().power};
-  netem::EnergyMeter cell_meter{tb.cell_access().profile().power};
   const auto airtime = [](double rate_bps, std::uint32_t wire_bytes) {
     return sim::Duration::from_seconds(static_cast<double>(wire_bytes) * 8.0 / rate_bps);
   };
-  tb.network().add_observer([&](const net::TraceEvent& ev) {
+  tb_.network().add_observer([this, airtime](const net::TraceEvent& ev) {
     if (ev.kind == net::TraceEvent::Kind::kSend) {
       if (ev.packet.src == kClientWifiAddr) {
-        wifi_meter.note_activity(
-            ev.time, airtime(tb.wifi_access().profile().up_rate_bps, ev.packet.wire_bytes()));
+        wifi_meter_.note_activity(
+            ev.time, airtime(tb_.wifi_access().profile().up_rate_bps, ev.packet.wire_bytes()));
       } else if (ev.packet.src == kClientCellAddr) {
-        cell_meter.note_activity(
-            ev.time, airtime(tb.cell_access().profile().up_rate_bps, ev.packet.wire_bytes()));
+        cell_meter_.note_activity(
+            ev.time, airtime(tb_.cell_access().profile().up_rate_bps, ev.packet.wire_bytes()));
       }
     } else if (ev.kind == net::TraceEvent::Kind::kDeliver) {
       if (ev.packet.dst == kClientWifiAddr) {
-        wifi_meter.note_activity(
+        wifi_meter_.note_activity(
             ev.time,
-            airtime(tb.wifi_access().profile().down_rate_bps, ev.packet.wire_bytes()));
+            airtime(tb_.wifi_access().profile().down_rate_bps, ev.packet.wire_bytes()));
       } else if (ev.packet.dst == kClientCellAddr) {
-        cell_meter.note_activity(
+        cell_meter_.note_activity(
             ev.time,
-            airtime(tb.cell_access().profile().down_rate_bps, ev.packet.wire_bytes()));
+            airtime(tb_.cell_access().profile().down_rate_bps, ev.packet.wire_bytes()));
       }
     }
   });
 
-  // Servers/clients are held in unique_ptrs so both stacks share one code path.
-  std::unique_ptr<app::MptcpHttpServer> mp_server;
-  std::unique_ptr<app::MptcpHttpClient> mp_client;
-  std::unique_ptr<app::TcpHttpServer> sp_server;
-  std::unique_ptr<app::TcpHttpClient> sp_client;
-  std::unique_ptr<app::StreamingSession> streaming;
-  sim::TimePoint stream_start{};
-
+  const net::SocketAddr server_sock{kServerAddr1, kHttpPort};
+  const std::uint64_t file_bytes = cfg_.file_bytes;
+  const auto object_size = [file_bytes](std::uint64_t) { return file_bytes; };
   if (multipath) {
-    core::MptcpConfig mcfg;
-    mcfg.subflow = tcfg;
-    mcfg.cc = run_cfg.cc;
-    mcfg.scheduler = run_cfg.scheduler;
-    mcfg.scheduler_weights = run_cfg.scheduler_weights;
-    mcfg.simultaneous_syns = run_cfg.simultaneous_syns;
-    mcfg.penalization = run_cfg.penalization;
-    mcfg.receive_buffer = run_cfg.receive_buffer;
-    mcfg.dss_checksum = run_cfg.dss_checksum;
-    mcfg.checksum_teardown = run_cfg.checksum_teardown;
-    mcfg.allow_tcp_fallback = run_cfg.tcp_fallback;
-    if (run_cfg.cellular_backup) mcfg.backup_local_addrs.push_back(kClientCellAddr);
-
     std::vector<net::IpAddr> advertise;
-    if (run_cfg.mode == PathMode::kMptcp4) advertise.push_back(kServerAddr2);
-    mp_server = std::make_unique<app::MptcpHttpServer>(tb.server(), kHttpPort, mcfg, advertise,
-                                                       object_size);
+    if (cfg_.mode == PathMode::kMptcp4) advertise.push_back(kServerAddr2);
+    mp_server_ = std::make_unique<app::MptcpHttpServer>(tb_.server(), kHttpPort, cfg_, advertise,
+                                                        object_size);
     // WiFi first: it is the default path over which MPTCP initiates (§4).
-    mp_client = std::make_unique<app::MptcpHttpClient>(
-        tb.client(), mcfg, std::vector<net::IpAddr>{kClientWifiAddr, kClientCellAddr},
+    mp_client_ = std::make_unique<app::MptcpHttpClient>(
+        tb_.client(), cfg_, std::vector<net::IpAddr>{kClientWifiAddr, kClientCellAddr},
         server_sock);
   } else {
-    sp_server =
-        std::make_unique<app::TcpHttpServer>(tb.server(), kHttpPort, tcfg, object_size);
-    sp_client = std::make_unique<app::TcpHttpClient>(
-        tb.client(), tcfg, use_wifi ? kClientWifiAddr : kClientCellAddr, server_sock);
+    sp_server_ = std::make_unique<app::TcpHttpServer>(tb_.server(), kHttpPort, cfg_.subflow,
+                                                      object_size);
+    sp_client_ = std::make_unique<app::TcpHttpClient>(
+        tb_.client(), cfg_.subflow, use_wifi ? kClientWifiAddr : kClientCellAddr, server_sock);
   }
 
   // Scripted faults: netem-level effects on both access networks, plus the
   // client stack's reaction to interface down/up.
-  netem::FaultInjector injector{sim};
-  injector.bind("wifi", &tb.wifi_access());
-  injector.bind("cell", &tb.cell_access());
+  injector_.bind("wifi", &tb_.wifi_access());
+  injector_.bind("cell", &tb_.cell_access());
   if (multipath) {
     const auto iface_addr = [](const std::string& link) {
       return link == "wifi" ? kClientWifiAddr : kClientCellAddr;
     };
-    injector.on_iface_down = [&mp_client, iface_addr](const std::string& link) {
-      mp_client->connection().remove_local_addr(iface_addr(link));
+    injector_.on_iface_down = [this, iface_addr](const std::string& link) {
+      mp_client_->connection().remove_local_addr(iface_addr(link));
     };
-    injector.on_iface_up = [&mp_client, iface_addr](const std::string& link) {
-      mp_client->connection().add_local_addr(iface_addr(link));
+    injector_.on_iface_up = [this, iface_addr](const std::string& link) {
+      mp_client_->connection().add_local_addr(iface_addr(link));
     };
     // `sched` scenario events: netem hands us a name + weights; resolve it
     // here (the harness owns the core dependency) and switch both ends so
     // sender-side dispatch changes regardless of transfer direction.
-    injector.on_scheduler_change = [&mp_client, &mp_server](
-                                       const std::string& name,
-                                       const std::vector<double>& weights) {
+    injector_.on_scheduler_change = [this](const std::string& name,
+                                           const std::vector<double>& weights) {
       const auto kind = core::scheduler_from_string(name);
       if (!kind) return;  // parse() validated; unknown names are a no-op here
-      mp_client->connection().set_scheduler(*kind, weights);
-      for (core::MptcpConnection* c : mp_server->connections()) {
+      mp_client_->connection().set_scheduler(*kind, weights);
+      for (core::MptcpConnection* c : mp_server_->connections()) {
         c->set_scheduler(*kind, weights);
       }
     };
   }
-  injector.install(run_cfg.faults);
-
-  const auto start_measurement = [&] {
-    if (multipath && run_cfg.streaming.has_value()) {
-      // Streaming workload: the session drives its own fetch cadence; the
-      // run ends when the last block lands (FetchResult stays empty).
-      stream_start = sim.now();
-      streaming = std::make_unique<app::StreamingSession>(sim, *mp_client,
-                                                          *run_cfg.streaming);
-      streaming->on_finished = [&done] { done = true; };
-      streaming->start();
-      return;
-    }
-    const auto on_done = [&](const app::FetchResult& r) {
-      fetch = r;
-      done = true;
-    };
-    if (multipath) {
-      mp_client->get(run_cfg.file_bytes, on_done);
-    } else {
-      sp_client->get(run_cfg.file_bytes, on_done);
-    }
-  };
+  injector_.install(cfg_.faults);
 
   // Ping warm-up (§3.2): two pings per active interface, measurement starts
   // when every interface has been warmed.
-  std::vector<std::unique_ptr<app::PingAgent>> pingers;
-  if (run_cfg.ping_warmup) {
-    int pending = 0;
-    if (use_wifi) ++pending;
-    if (use_cell) ++pending;
-    auto remaining = std::make_shared<int>(pending);
-    const auto warm_done = [&start_measurement, remaining] {
-      if (--*remaining == 0) start_measurement();
-    };
-    if (use_wifi) {
-      pingers.push_back(
-          std::make_unique<app::PingAgent>(tb.client(), kClientWifiAddr, kServerAddr1));
-      pingers.back()->ping(2, warm_done);
-    }
-    if (use_cell) {
-      pingers.push_back(
-          std::make_unique<app::PingAgent>(tb.client(), kClientCellAddr, kServerAddr1));
-      pingers.back()->ping(2, warm_done);
-    }
-  } else {
+  if (!cfg_.ping_warmup) {
     start_measurement();
+    return;
   }
+  warmups_pending_ = (use_wifi ? 1 : 0) + (use_cell ? 1 : 0);
+  const auto warm = [this](net::IpAddr addr) {
+    pingers_.push_back(std::make_unique<app::PingAgent>(tb_.client(), addr, kServerAddr1));
+    pingers_.back()->ping(2, [this] {
+      if (--warmups_pending_ == 0) start_measurement();
+    });
+  };
+  if (use_wifi) warm(kClientWifiAddr);
+  if (use_cell) warm(kClientCellAddr);
+}
 
+void Session::start_measurement() {
+  if (mp_client_ != nullptr && cfg_.streaming.has_value()) {
+    // Streaming workload: the session drives its own fetch cadence; the
+    // run ends when the last block lands (FetchResult stays empty).
+    stream_start_ = tb_.sim().now();
+    streaming_ = std::make_unique<app::StreamingSession>(tb_.sim(), *mp_client_, *cfg_.streaming);
+    streaming_->on_finished = [this] { done_ = true; };
+    streaming_->start();
+    return;
+  }
+  const auto on_done = [this](const app::FetchResult& r) {
+    fetch_ = r;
+    done_ = true;
+  };
+  if (mp_client_ != nullptr) {
+    mp_client_->get(cfg_.file_bytes, on_done);
+  } else {
+    sp_client_->get(cfg_.file_bytes, on_done);
+  }
+}
+
+RunResult Session::run() {
+  sim::Simulation& sim = tb_.sim();
   // Main event loop with an optional watchdog: the time/event caps abort a
   // runaway run deterministically. The run stops at the earlier of the
   // timeout and the max_sim_time cap, before the first event past it, so a
   // cut run reports only what happened inside the cap. With both caps
   // disabled the predicate is just !done, so the event sequence is exactly
   // the historical one (bit-identical replays).
-  const sim::TimePoint timeout_at = sim.now() + run_cfg.timeout;
-  const sim::TimePoint cap_at = sim.now() + run_cfg.max_sim_time;
-  const bool cap_time = run_cfg.max_sim_time > sim::Duration{} && cap_at < timeout_at;
+  const sim::TimePoint timeout_at = sim.now() + cfg_.timeout;
+  const sim::TimePoint cap_at = sim.now() + cfg_.max_sim_time;
+  const bool cap_time = cfg_.max_sim_time > sim::Duration{} && cap_at < timeout_at;
   bool watchdog = false;
   sim.run_while(
       [&] {
-        if (done) return false;
-        watchdog = run_cfg.max_events != 0 && sim.events().executed() >= run_cfg.max_events;
+        if (done_) return false;
+        watchdog = cfg_.max_events != 0 && sim.events().executed() >= cfg_.max_events;
         return !watchdog;
       },
       cap_time ? cap_at : timeout_at);
   // Stopped short of completion with events still pending: the cap cut it.
-  if (cap_time && !done && !sim.events().empty()) watchdog = true;
+  if (cap_time && !done_ && !sim.events().empty()) watchdog = true;
 
-  result.completed = done;
+  RunResult result;
+  collect(result);
+  if (watchdog) {
+    result.outcome = RunOutcome::kWatchdogAbort;
+  } else if (done_) {
+    result.outcome = RunOutcome::kCompleted;
+  } else if (result.failed) {
+    result.outcome = RunOutcome::kConnectionFailed;
+  } else {
+    result.outcome = RunOutcome::kTimeout;
+  }
+  return result;
+}
+
+void Session::collect(RunResult& result) {
+  sim::Simulation& sim = tb_.sim();
+  result.completed = done_;
   result.sim_stats.events_executed = sim.events().executed();
   if (const net::PacketPool* pool = sim.find_service<net::PacketPool>()) {
     const net::PacketPool::Stats ps = pool->stats();
@@ -279,25 +252,25 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
     result.sim_stats.audit_checks = auditor->checks();
   }
 #endif
-  result.wifi_energy_j = wifi_meter.energy_joules_total();
-  result.cellular_energy_j = cell_meter.energy_joules_total();
-  if (streaming != nullptr) {
+  result.wifi_energy_j = wifi_meter_.energy_joules_total();
+  result.cellular_energy_j = cell_meter_.energy_joules_total();
+  if (streaming_ != nullptr) {
     // Streaming runs: wall time is session start -> last block delivered,
     // and the playback-buffer telemetry rides along in sim_stats.
     result.download_time_s =
-        done ? (sim.now() - stream_start).to_seconds() : run_cfg.timeout.to_seconds();
-    const app::StreamingResult& sr = streaming->result();
+        done_ ? (sim.now() - stream_start_).to_seconds() : cfg_.timeout.to_seconds();
+    const app::StreamingResult& sr = streaming_->result();
     result.sim_stats.streaming_underruns = sr.underruns;
     result.sim_stats.streaming_underrun_s = sr.underrun_time.to_seconds();
     result.sim_stats.streaming_missed_frames = sr.deadline_missed_frames;
   } else {
-    result.download_time_s =
-        done ? (fetch.complete_time - fetch.first_syn_time).to_seconds() : run_cfg.timeout.to_seconds();
+    result.download_time_s = done_ ? (fetch_.complete_time - fetch_.first_syn_time).to_seconds()
+                                   : cfg_.timeout.to_seconds();
   }
 
   // Middlebox interference telemetry (only present when a scenario enabled
   // one on a link).
-  for (const netem::AccessNetwork* a : {&tb.wifi_access(), &tb.cell_access()}) {
+  for (const netem::AccessNetwork* a : {&tb_.wifi_access(), &tb_.cell_access()}) {
     if (const netem::Middlebox* m = a->middlebox_if()) {
       const netem::Middlebox::Stats& ms = m->stats();
       result.sim_stats.middlebox_options_stripped += ms.options_stripped;
@@ -306,13 +279,14 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
     }
   }
 
-  if (multipath) {
+  if (mp_client_ != nullptr) {
+    core::MptcpConnection& client_conn = mp_client_->connection();
     core::MptcpConnection* server_conn = nullptr;
-    if (!mp_server->connections().empty()) server_conn = mp_server->connections().front();
-    collect_mptcp(result, mp_client->connection(), server_conn);
-    result.failed = mp_client->connection().failed();
-    result.delivered_bytes = mp_client->connection().rx().delivered_bytes();
-    result.duplicate_packets = mp_client->connection().rx().duplicate_packets();
+    if (!mp_server_->connections().empty()) server_conn = mp_server_->connections().front();
+    collect_mptcp(result, client_conn, server_conn);
+    result.failed = client_conn.failed();
+    result.delivered_bytes = client_conn.rx().delivered_bytes();
+    result.duplicate_packets = client_conn.rx().duplicate_packets();
 
     // RFC 6824 fallback telemetry from both ends.
     const auto add_fallback = [&result](const core::MptcpConnection& c) {
@@ -323,9 +297,9 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
       result.sim_stats.mp_fail_events += fc.mp_fail_sent;
       result.sim_stats.join_refusals += fc.join_refusals;
     };
-    add_fallback(mp_client->connection());
+    add_fallback(client_conn);
     if (server_conn != nullptr) add_fallback(*server_conn);
-    core::MptcpServer& srv = mp_server->server();
+    core::MptcpServer& srv = mp_server_->server();
     result.sim_stats.fallback_plain_tcp += srv.tcp_fallback_accepts();
     result.sim_stats.join_refusals += srv.rejected_joins();
 
@@ -343,28 +317,22 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
       }
     }
   } else {
-    PathStats& ps = bucket(result, use_wifi ? kClientWifiAddr : kClientCellAddr);
+    PathStats& ps = bucket(result, cfg_.mode == PathMode::kSingleCellular ? kClientCellAddr
+                                                                           : kClientWifiAddr);
     ps.subflows = 1;
-    ps.bytes_received = sp_client->endpoint().metrics().bytes_received;
-    result.delivered_bytes = sp_client->endpoint().metrics().bytes_received;
-    if (!sp_server->connections().empty()) {
-      const tcp::FlowMetrics& m = sp_server->connections().front()->metrics();
+    ps.bytes_received = sp_client_->endpoint().metrics().bytes_received;
+    result.delivered_bytes = sp_client_->endpoint().metrics().bytes_received;
+    if (!sp_server_->connections().empty()) {
+      const tcp::FlowMetrics& m = sp_server_->connections().front()->metrics();
       ps.data_packets_sent = m.data_packets_sent;
       ps.rexmit_packets = m.rexmit_packets;
       for (const sim::Duration d : m.rtt_samples) ps.rtt_ms.push_back(d.to_millis());
     }
   }
+}
 
-  if (watchdog) {
-    result.outcome = RunOutcome::kWatchdogAbort;
-  } else if (done) {
-    result.outcome = RunOutcome::kCompleted;
-  } else if (result.failed) {
-    result.outcome = RunOutcome::kConnectionFailed;
-  } else {
-    result.outcome = RunOutcome::kTimeout;
-  }
-  return result;
+RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg) {
+  return Session{testbed_cfg, run_cfg}.run();
 }
 
 }  // namespace mpr::experiment

@@ -1,16 +1,20 @@
 // Single-measurement driver: performs one HTTP download on a fresh testbed
 // (with ping warm-up, as in §3.2) and extracts every metric the paper
-// reports.
+// reports. Session is the run itself; run_download is its one-call form.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "app/http.h"
+#include "app/ping.h"
 #include "app/streaming.h"
 #include "core/connection.h"
 #include "experiment/testbed.h"
+#include "netem/energy.h"
 #include "netem/faults.h"
 #include "sim/stats.h"
 
@@ -22,25 +26,13 @@ enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 /// Campaign-spec/CLI name -> mode: sp-wifi | sp-cell | mp2 | mp4.
 [[nodiscard]] std::optional<PathMode> mode_from_string(const std::string& s);
 
-struct RunConfig {
+/// One measurement: the MPTCP stack it runs (the base; its `subflow`
+/// settings also configure the single-path TCP runs) plus the run's own
+/// fields below.
+struct RunConfig : core::MptcpConfig {
   PathMode mode{PathMode::kMptcp2};
-  core::CcKind cc{core::CcKind::kCoupled};
-  core::SchedulerKind scheduler{core::SchedulerKind::kMinRtt};
-  /// Per-subflow shares for the weighted scheduler (see
-  /// core::MptcpConfig::scheduler_weights).
-  std::vector<double> scheduler_weights;
   std::uint64_t file_bytes{512 * 1024};
-  bool simultaneous_syns{false};
-  bool penalization{false};
-  std::uint64_t ssthresh{64 * 1024};
-  std::uint64_t receive_buffer{8 * 1024 * 1024};
-  /// F-RTO spurious-timeout detection (extension ablation; the paper's
-  /// kernel shipped it disabled).
-  bool frto{false};
   bool ping_warmup{true};
-  /// Join the cellular subflow in backup mode (RFC 6824 B bit): it carries
-  /// data only when the WiFi path fails. Extension experiment.
-  bool cellular_backup{false};
   /// Give up (incomplete run) after this much simulated time: events at
   /// the bound still run, the first one after it does not.
   sim::Duration timeout{sim::Duration::seconds(3600)};
@@ -53,23 +45,13 @@ struct RunConfig {
   /// Watchdog: hard-abort after this many executed events (0 = unlimited).
   /// Catches livelocks that burn events without advancing the clock.
   std::uint64_t max_events{0};
-  /// Attach/verify the RFC 6824 §3.3 DSS checksum (detects middlebox
-  /// payload mangling at the cost of 2 option bytes per data segment).
-  bool dss_checksum{false};
-  /// Tear the connection down on a checksum failure instead of the RFC 6824
-  /// §3.6 MP_FAIL recovery.
-  bool checksum_teardown{false};
-  /// Allow RFC 6824 §3.7 fallback to plain TCP when a middlebox strips
-  /// MPTCP options. Disabled: stripped handshakes fail (client) or get RST
-  /// (server) instead.
-  bool tcp_fallback{true};
   /// Scripted fault timeline applied to the run's access networks ("wifi" /
   /// "cell"; see netem::FaultSchedule). Times are relative to run start.
   /// Interface down/up events additionally drive REMOVE_ADDR / re-join at
   /// the MPTCP client. A value type, so campaign runners (run_series /
-  /// run_matrix) replay the same script in every repetition and the PR 1
-  /// determinism guarantee is preserved. Connection-level `sched` events
-  /// switch the dispatch strategy of the client and server connections.
+  /// run_matrix) replay the same script in every repetition and stay
+  /// deterministic. Connection-level `sched` events switch the dispatch
+  /// strategy of the client and server connections.
   netem::FaultSchedule faults;
   /// Drive the paper's §6 streaming pattern (prefetch + periodic blocks)
   /// instead of one bulk download; `file_bytes` is ignored. Multipath modes
@@ -136,7 +118,57 @@ struct RunResult {
   }
 };
 
-/// Builds a fresh testbed and performs one measurement.
+/// One measurement on a fresh testbed, split so a caller can reach the run
+/// it measures. The constructor builds the testbed and wires it: the
+/// single-path or MPTCP apps, the scripted faults with the client stack's
+/// reaction to interface and scheduler events, the device energy meters
+/// and the ping warm-up (§3.2), which starts the download once every active
+/// interface has answered, or at once without `ping_warmup`. Between the
+/// constructor and run() a caller may attach to testbed(),
+/// client_connection() and mptcp_server(); an observer that only reads
+/// changes no simulated output. run() runs until the download completes or
+/// the timeout or a cap cuts it, then collects the result. Everything stays
+/// readable afterwards.
+class Session {
+ public:
+  Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg);
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  [[nodiscard]] Testbed& testbed() { return tb_; }
+  /// The client's MPTCP connection; null in the single-path modes.
+  [[nodiscard]] core::MptcpConnection* client_connection() {
+    return mp_client_ ? &mp_client_->connection() : nullptr;
+  }
+  /// The MPTCP HTTP server; null in the single-path modes.
+  [[nodiscard]] app::MptcpHttpServer* mptcp_server() { return mp_server_.get(); }
+
+  /// Runs the measurement and collects its result. Call once.
+  [[nodiscard]] RunResult run();
+
+ private:
+  void start_measurement();
+  void collect(RunResult& result);
+
+  const RunConfig cfg_;
+  Testbed tb_;
+  netem::EnergyMeter wifi_meter_;
+  netem::EnergyMeter cell_meter_;
+  std::unique_ptr<app::MptcpHttpServer> mp_server_;
+  std::unique_ptr<app::MptcpHttpClient> mp_client_;
+  std::unique_ptr<app::TcpHttpServer> sp_server_;
+  std::unique_ptr<app::TcpHttpClient> sp_client_;
+  netem::FaultInjector injector_;
+  std::vector<std::unique_ptr<app::PingAgent>> pingers_;
+  int warmups_pending_{0};
+  std::unique_ptr<app::StreamingSession> streaming_;
+  sim::TimePoint stream_start_{};
+  app::FetchResult fetch_;
+  bool done_{false};
+};
+
+/// Builds a fresh testbed and performs one measurement: Session{...}.run().
 [[nodiscard]] RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg);
 
 }  // namespace mpr::experiment

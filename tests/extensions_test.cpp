@@ -134,7 +134,7 @@ TEST(BackupMode, BackupSubflowIdlesWhilePrimaryHealthy) {
   RunConfig rc;
   rc.mode = PathMode::kMptcp2;
   rc.file_bytes = 4 << 20;
-  rc.cellular_backup = true;
+  rc.backup_local_addrs = {experiment::kClientCellAddr};
   const experiment::RunResult r = run_download(tb, rc);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.cellular.bytes_received, 0u);
@@ -155,7 +155,7 @@ TEST(BackupMode, BackupSavesCellularEnergyOnLargeTransfers) {
   full.file_bytes = 16 << 20;
   full.ping_warmup = false;
   RunConfig backup = full;
-  backup.cellular_backup = true;
+  backup.backup_local_addrs = {experiment::kClientCellAddr};
   const experiment::RunResult rf = run_download(tb, full);
   const experiment::RunResult rb = run_download(tb, backup);
   ASSERT_TRUE(rf.completed);

@@ -18,11 +18,11 @@
 //     tcptrace-style analyzer's per-flow packet accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <sstream>
 
 #include "analysis/trace_analyzer.h"
-#include "app/http.h"
 #include "core/connection.h"
 #include "experiment/carriers.h"
 #include "experiment/run.h"
@@ -177,8 +177,8 @@ TEST(OutageRecovery, SinglePathWifiStallsForTheBlackout) {
 }
 
 // ---------------------------------------------------------------------------
-// Manual-testbed harness (mirrors mptcp_property_test.cpp) so tests can
-// reach the connection object and the packet trace.
+// Session harness: the measured run without its ping warm-up, reached
+// through the connection objects and the packet trace.
 
 struct FaultOutcome {
   bool completed{false};
@@ -192,6 +192,9 @@ struct FaultOutcome {
   std::size_t established_subflows{0};
   std::uint64_t reinjections{0};  // client + server side
   double finish_s{0};
+  /// When the client's on_error fired (infinity if it never did).
+  double error_s{std::numeric_limits<double>::infinity()};
+  std::vector<analysis::FlowReport> flows;  // of the packet capture
 };
 
 struct FaultCase {
@@ -202,70 +205,51 @@ struct FaultCase {
   bool mp4{false};
   bool capture_trace{false};
   double deadline_s{300};
-  core::MptcpConfig cfg;  // subflow/join/dead-path knobs
+  RunConfig cfg;  // subflow/join/dead-path knobs
 };
 
-FaultOutcome run_faulted(const FaultCase& fc, experiment::Testbed* keep_tb = nullptr) {
+FaultOutcome run_faulted(const FaultCase& fc) {
   TestbedConfig tb_cfg;
   tb_cfg.seed = fc.seed;
   tb_cfg.capture_trace = fc.capture_trace;
-  // keep_tb lets callers inspect the trace after the run; the testbed must
-  // then live in the caller's frame.
-  experiment::Testbed local_tb{tb_cfg};
-  experiment::Testbed& tb = keep_tb ? *keep_tb : local_tb;
-
-  core::MptcpConfig cfg = fc.cfg;
-  cfg.cc = fc.cc;
-
-  std::vector<net::IpAddr> advertise;
-  if (fc.mp4) advertise.push_back(experiment::kServerAddr2);
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, advertise,
-                              [&fc](std::uint64_t) { return fc.bytes; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
-
-  netem::FaultInjector injector{tb.sim()};
-  injector.bind("wifi", &tb.wifi_access());
-  injector.bind("cell", &tb.cell_access());
-  injector.on_iface_down = [&client](const std::string& link) {
-    client.connection().remove_local_addr(link == "wifi" ? experiment::kClientWifiAddr
-                                                         : experiment::kClientCellAddr);
-  };
-  injector.on_iface_up = [&client](const std::string& link) {
-    client.connection().add_local_addr(link == "wifi" ? experiment::kClientWifiAddr
-                                                      : experiment::kClientCellAddr);
-  };
-  injector.install(fc.faults);
+  RunConfig rc = fc.cfg;
+  rc.mode = fc.mp4 ? PathMode::kMptcp4 : PathMode::kMptcp2;
+  rc.cc = fc.cc;
+  rc.file_bytes = fc.bytes;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::from_seconds(fc.deadline_s);
+  rc.faults = fc.faults;
+  experiment::Session session{tb_cfg, rc};
+  core::MptcpConnection& client = *session.client_connection();
+  const sim::Simulation& sim = session.testbed().sim();
 
   FaultOutcome out;
-  auto inner = client.connection().on_data;
-  client.connection().on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
+  auto inner = client.on_data;
+  client.on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
     if (dsn != out.next_dsn) out.dsn_in_order = false;
     out.next_dsn = dsn + len;
     if (inner) inner(dsn, len);
   };
-  bool done = false;
-  client.get(fc.bytes, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
-                     tb.sim().now() + sim::Duration::from_seconds(fc.deadline_s));
+  client.on_error = [&] { out.error_s = sim.now().to_seconds(); };
+  out.completed = session.run().completed;
 
-  out.completed = done;
-  out.failed = client.connection().failed();
-  out.finish_s = tb.sim().now().to_seconds();
-  out.conn_delivered = client.connection().rx().delivered_bytes();
-  out.duplicates = client.connection().rx().duplicate_packets();
+  out.failed = client.failed();
+  out.finish_s = sim.now().to_seconds();
+  out.conn_delivered = client.rx().delivered_bytes();
+  out.duplicates = client.rx().duplicate_packets();
   // Reinjection happens at the data sender: the server strands and re-sends
   // the dead subflow's DSNs. Count both directions.
-  out.reinjections = client.connection().reinjected_chunks();
-  for (core::MptcpConnection* conn : server.connections()) {
+  out.reinjections = client.reinjected_chunks();
+  for (core::MptcpConnection* conn : session.mptcp_server()->connections()) {
     out.reinjections += conn->reinjected_chunks();
     out.server_failed = out.server_failed || conn->failed();
   }
-  for (const core::MptcpSubflow* sf : client.connection().subflows()) {
+  for (const core::MptcpSubflow* sf : client.subflows()) {
     ++out.subflows;
     if (sf->state() == tcp::TcpState::kEstablished) ++out.established_subflows;
+  }
+  if (const analysis::PacketTrace* trace = session.testbed().trace()) {
+    out.flows = analysis::TcptraceAnalyzer{*trace}.flows();
   }
   return out;
 }
@@ -376,7 +360,7 @@ TEST(AllPathsDead, ClientFailsWhenEveryInterfaceGoesAway) {
   EXPECT_TRUE(out.failed) << "connection must fail, not hang until the test deadline";
   // Failure arrives around interface removal + the 5 s dead deadline — far
   // before the 120 s harness deadline.
-  EXPECT_LT(out.finish_s, 60.0);
+  EXPECT_LT(out.error_s, 60.0);
 }
 
 TEST(AllPathsDead, SenderFailsDuringEndlessBlackout) {
@@ -454,12 +438,7 @@ TEST_P(RandomFaultSweep, ExactlyOnceInOrderUnderRandomSchedule) {
   fc.seed = 100 + sched_seed;
   fc.faults = random_wifi_schedule(sched_seed);
   fc.capture_trace = true;
-
-  TestbedConfig tb_cfg;
-  tb_cfg.seed = fc.seed;
-  tb_cfg.capture_trace = true;
-  experiment::Testbed tb{tb_cfg};
-  const FaultOutcome out = run_faulted(fc, &tb);
+  const FaultOutcome out = run_faulted(fc);
 
   ASSERT_TRUE(out.completed) << "cc=" << static_cast<int>(cc) << " sched=" << sched_seed;
   EXPECT_FALSE(out.failed);
@@ -471,11 +450,10 @@ TEST_P(RandomFaultSweep, ExactlyOnceInOrderUnderRandomSchedule) {
   // over the packet capture: payload delivered on server->client flows must
   // cover the object exactly once plus only duplicated (reinjected /
   // retransmitted-after-delivery) data.
-  ASSERT_NE(tb.trace(), nullptr);
-  const analysis::TcptraceAnalyzer an{*tb.trace()};
+  ASSERT_FALSE(out.flows.empty());
   std::uint64_t trace_bytes = 0;
   std::uint64_t trace_rexmit = 0;
-  for (const analysis::FlowReport& f : an.flows()) {
+  for (const analysis::FlowReport& f : out.flows) {
     const bool to_client = f.flow.dst.addr == experiment::kClientWifiAddr ||
                            f.flow.dst.addr == experiment::kClientCellAddr;
     const bool from_server = f.flow.src.addr == experiment::kServerAddr1 ||

@@ -16,6 +16,7 @@
 //   * determinism — mbox schedules are bit-identical at any job count.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -308,8 +309,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Manual-testbed harness (mirrors faults_test.cpp) so tests can reach the
-// connection's fallback state, the server counters and the packet trace.
+// Session harness: the measured run without its ping warm-up, reached
+// through the connection's fallback state, the server counters and the
+// packet trace.
 
 struct MboxOutcome {
   bool completed{false};
@@ -320,13 +322,15 @@ struct MboxOutcome {
   std::uint64_t duplicates{0};
   std::uint64_t reinjections{0};  // client + server side
   std::size_t established_subflows{0};
-  double finish_s{0};
+  /// When the client's on_error fired (infinity if it never did).
+  double error_s{std::numeric_limits<double>::infinity()};
   core::MptcpConnection::FallbackKind client_fallback{
       core::MptcpConnection::FallbackKind::kNone};
   core::MptcpConnection::FallbackCounters client_counters;
   core::MptcpConnection::FallbackCounters server_counters;
   std::uint64_t server_tcp_accepts{0};
   std::uint64_t server_resets{0};
+  std::vector<analysis::FlowReport> flows;  // of the packet capture
 };
 
 struct MboxCase {
@@ -336,59 +340,50 @@ struct MboxCase {
   std::uint64_t seed{21};
   bool capture_trace{false};
   double deadline_s{300};
-  core::MptcpConfig cfg;  // checksum / fallback / subflow knobs
+  RunConfig cfg;  // checksum / fallback / subflow knobs
 };
 
-MboxOutcome run_mboxed(const MboxCase& mc, experiment::Testbed* keep_tb = nullptr) {
+MboxOutcome run_mboxed(const MboxCase& mc) {
   TestbedConfig tb_cfg;
   tb_cfg.seed = mc.seed;
   tb_cfg.capture_trace = mc.capture_trace;
-  experiment::Testbed local_tb{tb_cfg};
-  experiment::Testbed& tb = keep_tb ? *keep_tb : local_tb;
-
-  core::MptcpConfig cfg = mc.cfg;
-  cfg.cc = mc.cc;
-
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, {},
-                              [&mc](std::uint64_t) { return mc.bytes; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
-
-  netem::FaultInjector injector{tb.sim()};
-  injector.bind("wifi", &tb.wifi_access());
-  injector.bind("cell", &tb.cell_access());
-  injector.install(mc.faults);
+  RunConfig rc = mc.cfg;
+  rc.cc = mc.cc;
+  rc.file_bytes = mc.bytes;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::from_seconds(mc.deadline_s);
+  rc.faults = mc.faults;
+  experiment::Session session{tb_cfg, rc};
+  core::MptcpConnection& client = *session.client_connection();
+  app::MptcpHttpServer& server = *session.mptcp_server();
 
   MboxOutcome out;
-  auto inner = client.connection().on_data;
-  client.connection().on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
+  auto inner = client.on_data;
+  client.on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
     if (dsn != out.next_dsn) out.dsn_in_order = false;
     out.next_dsn = dsn + len;
     if (inner) inner(dsn, len);
   };
-  bool done = false;
-  client.get(mc.bytes, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
-                     tb.sim().now() + sim::Duration::from_seconds(mc.deadline_s));
+  client.on_error = [&] { out.error_s = session.testbed().sim().now().to_seconds(); };
+  out.completed = session.run().completed;
 
-  out.completed = done;
-  out.failed = client.connection().failed();
-  out.finish_s = tb.sim().now().to_seconds();
-  out.conn_delivered = client.connection().rx().delivered_bytes();
-  out.duplicates = client.connection().rx().duplicate_packets();
-  out.reinjections = client.connection().reinjected_chunks();
-  out.client_fallback = client.connection().fallback();
-  out.client_counters = client.connection().fallback_counters();
+  out.failed = client.failed();
+  out.conn_delivered = client.rx().delivered_bytes();
+  out.duplicates = client.rx().duplicate_packets();
+  out.reinjections = client.reinjected_chunks();
+  out.client_fallback = client.fallback();
+  out.client_counters = client.fallback_counters();
   for (core::MptcpConnection* conn : server.connections()) {
     out.reinjections += conn->reinjected_chunks();
     out.server_counters = conn->fallback_counters();
   }
   out.server_tcp_accepts = server.server().tcp_fallback_accepts();
   out.server_resets = server.server().resets_sent();
-  for (const core::MptcpSubflow* sf : client.connection().subflows()) {
+  for (const core::MptcpSubflow* sf : client.subflows()) {
     if (sf->state() == tcp::TcpState::kEstablished) ++out.established_subflows;
+  }
+  if (const analysis::PacketTrace* trace = session.testbed().trace()) {
+    out.flows = analysis::TcptraceAnalyzer{*trace}.flows();
   }
   return out;
 }
@@ -426,12 +421,7 @@ TEST(ChecksumCorruption, ExactlyOnceThroughMpFailAndInfiniteMapping) {
   // Both links corrupt: the first failure closes a subflow with MP_FAIL,
   // the next one hits the last subflow and forces the infinite mapping.
   mc.faults.middlebox(0.0, "wifi", "corrupt", 5).middlebox(0.0, "cell", "corrupt", 5);
-
-  TestbedConfig tb_cfg;
-  tb_cfg.seed = mc.seed;
-  tb_cfg.capture_trace = true;
-  experiment::Testbed tb{tb_cfg};
-  const MboxOutcome out = run_mboxed(mc, &tb);
+  const MboxOutcome out = run_mboxed(mc);
 
   ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
@@ -445,11 +435,10 @@ TEST(ChecksumCorruption, ExactlyOnceThroughMpFailAndInfiniteMapping) {
   // tcptrace cross-check: payload delivered on server->client flows covers
   // the object exactly once plus only bounded duplication (reinjected or
   // retransmitted-after-delivery data).
-  ASSERT_NE(tb.trace(), nullptr);
-  const analysis::TcptraceAnalyzer an{*tb.trace()};
+  ASSERT_FALSE(out.flows.empty());
   std::uint64_t trace_bytes = 0;
   std::uint64_t trace_rexmit = 0;
-  for (const analysis::FlowReport& f : an.flows()) {
+  for (const analysis::FlowReport& f : out.flows) {
     const bool to_client = f.flow.dst.addr == experiment::kClientWifiAddr ||
                            f.flow.dst.addr == experiment::kClientCellAddr;
     const bool from_server = f.flow.src.addr == experiment::kServerAddr1 ||
@@ -477,7 +466,7 @@ TEST(ChecksumCorruption, TeardownPolicyFailsTheConnection) {
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed) << "teardown policy must error out, not fall back";
   EXPECT_GE(out.client_counters.checksum_failures, 1u);
-  EXPECT_LT(out.finish_s, 60.0) << "teardown must be prompt, not a timeout";
+  EXPECT_LT(out.error_s, 60.0) << "teardown must be prompt, not a timeout";
 }
 
 // ---------------------------------------------------------------------------
@@ -496,12 +485,12 @@ TEST(FallbackDisabled, StrippedHandshakeFailsFast) {
   EXPECT_TRUE(out.failed);
   EXPECT_GE(out.server_resets, 1u) << "the plain SYN must be refused, not dropped";
   EXPECT_EQ(out.server_tcp_accepts, 0u);
-  EXPECT_LT(out.finish_s, 30.0) << "an RST-refused handshake must not wait for a timeout";
+  EXPECT_LT(out.error_s, 30.0) << "an RST-refused handshake must not wait for a timeout";
 }
 
 TEST(FallbackDisabled, RunReportsConnectionFailed) {
   RunConfig rc = mbox_run(strip_syn_everywhere(), 1ull << 20);
-  rc.tcp_fallback = false;
+  rc.allow_tcp_fallback = false;
   rc.timeout = sim::Duration::seconds(120);
   const TestbedConfig tb;
   const RunResult r = experiment::run_download(tb, rc);

@@ -11,11 +11,9 @@
 
 #include <tuple>
 
-#include "app/http.h"
 #include "core/connection.h"
 #include "experiment/carriers.h"
 #include "experiment/run.h"
-#include "experiment/testbed.h"
 
 namespace mpr::core {
 namespace {
@@ -41,46 +39,35 @@ Outcome run_one(Carrier carrier, PathMode mode, CcKind cc, SchedulerKind sched,
   TestbedConfig tb_cfg;
   tb_cfg.seed = seed;
   tb_cfg.cellular = experiment::carrier_profile(carrier);
-  experiment::Testbed tb{tb_cfg};
-
-  core::MptcpConfig cfg;
-  cfg.cc = cc;
-  cfg.scheduler = sched;
-  cfg.simultaneous_syns = simsyn;
-
-  std::vector<net::IpAddr> advertise;
-  if (mode == PathMode::kMptcp4) advertise.push_back(experiment::kServerAddr2);
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, advertise,
-                              [bytes](std::uint64_t) { return bytes; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
+  RunConfig rc;
+  rc.mode = mode;
+  rc.cc = cc;
+  rc.scheduler = sched;
+  rc.simultaneous_syns = simsyn;
+  rc.file_bytes = bytes;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::seconds(900);
+  experiment::Session session{tb_cfg, rc};
+  MptcpConnection& client = *session.client_connection();
 
   Outcome out;
   std::uint64_t next = 0;
-  auto inner = client.connection().on_data;
-  client.connection().on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
+  auto inner = client.on_data;
+  client.on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
     if (dsn != next) out.dsn_in_order = false;
     next = dsn + len;
     if (inner) inner(dsn, len);
   };
-  bool done = false;
-  app::FetchResult fetch;
-  client.get(bytes, [&](const app::FetchResult& r) {
-    done = true;
-    fetch = r;
-  });
-  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(900));
+  const experiment::RunResult r = session.run();
 
-  out.completed = done;
-  out.download_s = done ? fetch.download_time().to_seconds() : -1;
-  const ReorderBuffer& rx = client.connection().rx();
+  out.completed = r.completed;
+  out.download_s = r.completed ? r.download_time_s : -1;
+  const ReorderBuffer& rx = client.rx();
   out.conn_delivered = rx.delivered_bytes();
   out.max_buffered = rx.max_buffered_bytes();
   out.ofo_samples = rx.ofo_samples().size();
   out.duplicates = rx.duplicate_packets();
-  for (const MptcpSubflow* sf : client.connection().subflows()) {
+  for (const MptcpSubflow* sf : client.subflows()) {
     out.subflow_delivered_sum += sf->metrics().bytes_received;
   }
   return out;
@@ -189,21 +176,15 @@ TEST_P(MptcpBufferSweep, TightBuffersNeverViolateCapacityOrOrder) {
   TestbedConfig tb_cfg;
   tb_cfg.seed = 77;
   tb_cfg.cellular = netem::sprint_evdo();  // maximal reordering pressure
-  experiment::Testbed tb{tb_cfg};
-  core::MptcpConfig cfg;
-  cfg.receive_buffer = buf;
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, {},
-                              [](std::uint64_t) { return 1ull << 20; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
-  bool done = false;
-  client.get(1 << 20, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(900));
-  ASSERT_TRUE(done) << "buffer=" << buf;
-  EXPECT_LE(client.connection().rx().max_buffered_bytes(), buf);
-  EXPECT_EQ(client.connection().rx().delivered_bytes(), 1u << 20);
+  RunConfig rc;
+  rc.receive_buffer = buf;
+  rc.file_bytes = 1 << 20;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::seconds(900);
+  experiment::Session session{tb_cfg, rc};
+  ASSERT_TRUE(session.run().completed) << "buffer=" << buf;
+  EXPECT_LE(session.client_connection()->rx().max_buffered_bytes(), buf);
+  EXPECT_EQ(session.client_connection()->rx().delivered_bytes(), 1u << 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Buffers, MptcpBufferSweep,

@@ -203,7 +203,8 @@ TEST(PumpOrder, RedundantUsesRttOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end harness (mirrors mptcp_property_test.cpp) with scheduler knobs.
+// End-to-end harness: the measured run without its ping warm-up, with
+// scheduler knobs.
 
 struct Outcome {
   bool completed{false};
@@ -216,6 +217,7 @@ struct Outcome {
   std::uint64_t wifi_bytes{0};
   std::uint64_t cell_bytes{0};
   double finish_s{0};
+  std::vector<analysis::FlowReport> flows;  // of the packet capture
 };
 
 struct Case {
@@ -229,73 +231,48 @@ struct Case {
   double deadline_s{300};
 };
 
-Outcome run_case(const Case& c, experiment::Testbed* keep_tb = nullptr) {
+Outcome run_case(const Case& c) {
   TestbedConfig tb_cfg;
   tb_cfg.seed = c.seed;
   tb_cfg.capture_trace = c.capture_trace;
-  experiment::Testbed local_tb{tb_cfg};
-  experiment::Testbed& tb = keep_tb ? *keep_tb : local_tb;
-
-  MptcpConfig cfg;
-  cfg.cc = c.cc;
-  cfg.scheduler = c.scheduler;
-  cfg.scheduler_weights = c.weights;
-
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, {},
-                              [&c](std::uint64_t) { return c.bytes; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
-
-  netem::FaultInjector injector{tb.sim()};
-  injector.bind("wifi", &tb.wifi_access());
-  injector.bind("cell", &tb.cell_access());
-  injector.on_iface_down = [&client](const std::string& link) {
-    client.connection().remove_local_addr(link == "wifi" ? experiment::kClientWifiAddr
-                                                         : experiment::kClientCellAddr);
-  };
-  injector.on_iface_up = [&client](const std::string& link) {
-    client.connection().add_local_addr(link == "wifi" ? experiment::kClientWifiAddr
-                                                      : experiment::kClientCellAddr);
-  };
-  injector.on_scheduler_change = [&client, &server](const std::string& name,
-                                                    const std::vector<double>& weights) {
-    const auto kind = scheduler_from_string(name);
-    if (!kind) return;
-    client.connection().set_scheduler(*kind, weights);
-    for (MptcpConnection* conn : server.connections()) conn->set_scheduler(*kind, weights);
-  };
-  injector.install(c.faults);
+  RunConfig rc;
+  rc.cc = c.cc;
+  rc.scheduler = c.scheduler;
+  rc.scheduler_weights = c.weights;
+  rc.file_bytes = c.bytes;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::from_seconds(c.deadline_s);
+  rc.faults = c.faults;
+  experiment::Session session{tb_cfg, rc};
+  MptcpConnection& client = *session.client_connection();
 
   Outcome out;
-  auto inner = client.connection().on_data;
-  client.connection().on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
+  auto inner = client.on_data;
+  client.on_data = [&, inner](std::uint64_t dsn, std::uint32_t len) {
     if (dsn != out.next_dsn) out.dsn_in_order = false;
     out.next_dsn = dsn + len;
     if (inner) inner(dsn, len);
   };
-  bool done = false;
-  client.get(c.bytes, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done && !client.connection().failed(); },
-                     tb.sim().now() + sim::Duration::from_seconds(c.deadline_s));
+  out.completed = session.run().completed;
 
-  out.completed = done;
-  out.finish_s = tb.sim().now().to_seconds();
-  out.conn_delivered = client.connection().rx().delivered_bytes();
-  out.duplicates = client.connection().rx().duplicate_packets();
-  out.reinjections = client.connection().reinjected_chunks();
-  out.redundant_chunks = client.connection().redundant_chunks();
-  for (MptcpConnection* conn : server.connections()) {
+  out.finish_s = session.testbed().sim().now().to_seconds();
+  out.conn_delivered = client.rx().delivered_bytes();
+  out.duplicates = client.rx().duplicate_packets();
+  out.reinjections = client.reinjected_chunks();
+  out.redundant_chunks = client.redundant_chunks();
+  for (MptcpConnection* conn : session.mptcp_server()->connections()) {
     out.reinjections += conn->reinjected_chunks();
     out.redundant_chunks += conn->redundant_chunks();
   }
-  for (const MptcpSubflow* sf : client.connection().subflows()) {
+  for (const MptcpSubflow* sf : client.subflows()) {
     if (sf->local().addr == experiment::kClientWifiAddr) {
       out.wifi_bytes += sf->metrics().bytes_received;
     } else {
       out.cell_bytes += sf->metrics().bytes_received;
     }
+  }
+  if (const analysis::PacketTrace* trace = session.testbed().trace()) {
+    out.flows = analysis::TcptraceAnalyzer{*trace}.flows();
   }
   return out;
 }
@@ -434,12 +411,7 @@ TEST(RedundantProperty, NeverDoubleDeliversADsnByteAcross100Configs) {
     c.faults = random_schedule(seed);
     c.capture_trace = true;
     c.deadline_s = 120;
-
-    TestbedConfig tb_cfg;
-    tb_cfg.seed = c.seed;
-    tb_cfg.capture_trace = true;
-    experiment::Testbed tb{tb_cfg};
-    const Outcome out = run_case(c, &tb);
+    const Outcome out = run_case(c);
 
     ASSERT_TRUE(out.completed) << "seed=" << seed;
     // Exactly-once: the app saw every byte once, in DSN order, and nothing
@@ -451,11 +423,10 @@ TEST(RedundantProperty, NeverDoubleDeliversADsnByteAcross100Configs) {
     // Cross-check against the tcptrace-style analyzer: wire-level payload
     // covers the object at least once; the overshoot is explained by
     // scheduler duplicates, RTO reinjections and subflow retransmissions.
-    ASSERT_NE(tb.trace(), nullptr);
-    const analysis::TcptraceAnalyzer an{*tb.trace()};
+    ASSERT_FALSE(out.flows.empty());
     std::uint64_t trace_bytes = 0;
     std::uint64_t trace_rexmit = 0;
-    for (const analysis::FlowReport& f : an.flows()) {
+    for (const analysis::FlowReport& f : out.flows) {
       const bool to_client = f.flow.dst.addr == experiment::kClientWifiAddr ||
                              f.flow.dst.addr == experiment::kClientCellAddr;
       if (!to_client || f.flow.src.addr != experiment::kServerAddr1) continue;

@@ -44,66 +44,14 @@
 
 #include "cli_flags.h"
 #include "experiment/campaign.h"
-#include "experiment/carriers.h"
-#include "experiment/run.h"
 #include "experiment/series.h"
+#include "run_flags.h"
 #include "sim/thread_pool.h"
 
 using namespace mpr;
 using namespace mpr::experiment;
 
 namespace {
-
-/// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
-/// Returns false on an unknown name or malformed weight list.
-bool parse_sched(const std::string& spec, RunConfig& rc) {
-  std::string name = spec;
-  std::string weight_list;
-  if (const std::size_t colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    weight_list = spec.substr(colon + 1);
-  }
-  const auto kind = core::scheduler_from_string(name);
-  if (!kind) return false;
-  rc.scheduler = *kind;
-  rc.scheduler_weights.clear();
-  if (weight_list.empty()) return true;
-  if (*kind != core::SchedulerKind::kWeighted) return false;
-  std::size_t pos = 0;
-  while (pos <= weight_list.size()) {
-    const std::size_t comma = weight_list.find(',', pos);
-    const std::string tok =
-        weight_list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    try {
-      const double w = std::stod(tok);
-      if (w <= 0) return false;
-      rc.scheduler_weights.push_back(w);
-    } catch (...) {
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !rc.scheduler_weights.empty();
-}
-
-void print_json(const RunResult& r) {
-  std::printf(
-      "{\"completed\":%s,\"outcome\":\"%s\",\"download_time_s\":%.6f,"
-      "\"cellular_fraction\":%.4f,"
-      "\"wifi\":{\"bytes\":%llu,\"loss\":%.5f,\"rtt_samples\":%zu},"
-      "\"cellular\":{\"bytes\":%llu,\"loss\":%.5f,\"rtt_samples\":%zu},"
-      "\"energy_j\":{\"wifi\":%.3f,\"cellular\":%.3f},"
-      "\"reinjections\":%llu,\"redundant_chunks\":%llu,\"penalizations\":%llu}\n",
-      r.completed ? "true" : "false", to_string(r.outcome).c_str(), r.download_time_s,
-      r.cellular_fraction(),
-      static_cast<unsigned long long>(r.wifi.bytes_received), r.wifi.loss_rate(),
-      r.wifi.rtt_ms.size(), static_cast<unsigned long long>(r.cellular.bytes_received),
-      r.cellular.loss_rate(), r.cellular.rtt_ms.size(), r.wifi_energy_j, r.cellular_energy_j,
-      static_cast<unsigned long long>(r.reinjections),
-      static_cast<unsigned long long>(r.redundant_chunks),
-      static_cast<unsigned long long>(r.penalizations));
-}
 
 void print_text(const RunResult& r) {
   std::printf("completed:        %s\n",
@@ -246,62 +194,10 @@ int main(int argc, char** argv) {
   }
   if (flags.has("campaign")) return run_campaign_cli(flags);
 
-  const auto carrier =
-      flags.get_choice("mpr_run", "carrier", "att", carrier_from_string, "att | verizon | sprint");
-  const auto mode = flags.get_choice("mpr_run", "mode", "mp2", mode_from_string,
-                                     "sp-wifi | sp-cell | mp2 | mp4");
-  const auto cc = flags.get_choice("mpr_run", "cc", "coupled", core::cc_from_string,
-                                   "coupled | olia | reno | vegas");
-  if (!carrier || !mode || !cc) return 1;
-
-  TestbedConfig tb;
-  tb.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  tb.wifi = flags.get_bool("hotspot") ? netem::wifi_hotspot() : netem::wifi_home();
-  tb.cellular = carrier_profile(*carrier);
-  tb.cellular.codel_downlink = flags.get_bool("codel");
-
-  RunConfig rc;
-  rc.mode = *mode;
-  rc.cc = *cc;
-  if (const std::string sched = flags.get("sched", "minrtt"); !parse_sched(sched, rc)) {
-    std::fprintf(stderr,
-                 "mpr_run: --sched %s: expected minrtt | rr | roundrobin | "
-                 "weighted[:w1,w2,...] | redundant\n",
-                 sched.c_str());
-    return 1;
-  }
-  rc.file_bytes = flags.get_size("size", 4 << 20);
-  rc.simultaneous_syns = flags.get_bool("simsyn");
-  rc.cellular_backup = flags.get_bool("backup");
-
-  rc.dss_checksum = flags.get_bool("checksum");
-  rc.checksum_teardown = flags.get_bool("teardown");
-  rc.tcp_fallback = !flags.get_bool("no-fallback");
-  if (const long long cap = flags.get_int("max-events", 0); cap > 0) {
-    rc.max_events = static_cast<std::uint64_t>(cap);
-  }
-  if (const std::string t = flags.get("max-sim-time", ""); !t.empty()) {
-    rc.max_sim_time = sim::Duration::from_seconds(std::stod(t));
-  }
-
-  if (const std::string scenario = flags.get("scenario", ""); !scenario.empty()) {
-    std::string error;
-    rc.faults = netem::FaultSchedule::parse_file(scenario, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "mpr_run: --scenario %s: %s\n", scenario.c_str(), error.c_str());
-      return 1;
-    }
-    // The testbed binds exactly two links; a typo'd link name would make the
-    // schedule a silent no-op, so fail loudly instead.
-    const std::vector<std::string> unbound = rc.faults.unknown_links({"wifi", "cell"});
-    if (!unbound.empty()) {
-      for (const std::string& l : unbound) {
-        std::fprintf(stderr, "mpr_run: --scenario %s: unknown link '%s' (bound: wifi, cell)\n",
-                     scenario.c_str(), l.c_str());
-      }
-      return 1;
-    }
-  }
+  const std::optional<tools::RunFlags> parsed = tools::parse_run_flags(flags, "mpr_run");
+  if (!parsed) return 1;
+  const TestbedConfig& tb = parsed->testbed;
+  const RunConfig& rc = parsed->run;
 
   const int reps = static_cast<int>(flags.get_int("reps", 1));
   const bool json = flags.get_bool("json");
@@ -319,7 +215,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < reps; ++i) {
     const RunResult& r = results[static_cast<std::size_t>(i)];
     if (json) {
-      print_json(r);
+      tools::print_run_json(stdout, r);
     } else {
       if (reps > 1) std::printf("--- rep %d (seed %llu) ---\n", i,
                                 static_cast<unsigned long long>(tb.seed + static_cast<std::uint64_t>(i)));

@@ -5,56 +5,30 @@
 //   mpr_trace --size 1m --pcap out.pcap              # deliveries as pcap
 //   mpr_trace --pcap out.pcap --capture send         # sender-side capture
 //
-// Shares mpr_run's topology flags (--mode/--carrier/--cc/--size/--seed).
+// Takes mpr_run's single-run flags (--mode, --carrier, --cc, --sched,
+// --size, --seed, --hotspot, --scenario, ...; see tools/mpr_run.cpp) and
+// traces the run `mpr_run` reports for them: its `mpr_run --json` line goes
+// to stderr. Only --reps, --jobs and --json are mpr_run's alone.
 #include <cstdio>
 #include <string>
 
 #include "analysis/pcap.h"
-#include "app/http.h"
 #include "cli_flags.h"
-#include "experiment/carriers.h"
 #include "experiment/run.h"
-#include "experiment/testbed.h"
+#include "run_flags.h"
 
 using namespace mpr;
-using namespace mpr::experiment;
 
 int main(int argc, char** argv) {
   const tools::Flags flags{argc, argv};
-  const auto carrier = flags.get_choice("mpr_trace", "carrier", "att", carrier_from_string,
-                                        "att | verizon | sprint");
-  const auto mode = flags.get_choice("mpr_trace", "mode", "mp2", mode_from_string,
-                                     "sp-wifi | sp-cell | mp2 | mp4");
-  const auto cc = flags.get_choice("mpr_trace", "cc", "coupled", core::cc_from_string,
-                                   "coupled | olia | reno | vegas");
-  if (!carrier || !mode || !cc) return 1;
+  std::optional<tools::RunFlags> parsed = tools::parse_run_flags(flags, "mpr_trace");
+  if (!parsed) return 1;
+  parsed->testbed.capture_trace = true;
 
-  TestbedConfig tb_cfg;
-  tb_cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  tb_cfg.capture_trace = true;
-  tb_cfg.cellular = carrier_profile(*carrier);
-  Testbed tb{tb_cfg};
-
-  core::MptcpConfig cfg;
-  cfg.cc = *cc;
-  const std::uint64_t size = flags.get_size("size", 512 << 10);
-
-  // Interfaces and advertised addresses per mode, as run_download sets them.
-  std::vector<net::IpAddr> advertise;
-  if (*mode == PathMode::kMptcp4) advertise.push_back(kServerAddr2);
-  app::MptcpHttpServer server{tb.server(), kHttpPort, cfg, advertise,
-                              [size](std::uint64_t) { return size; }};
-  std::vector<net::IpAddr> addrs;
-  if (*mode != PathMode::kSingleCellular) addrs.push_back(kClientWifiAddr);
-  if (*mode != PathMode::kSingleWifi) addrs.push_back(kClientCellAddr);
-  app::MptcpHttpClient client{tb.client(), cfg, addrs,
-                              net::SocketAddr{kServerAddr1, kHttpPort}};
-
-  bool done = false;
-  client.get(size, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(600));
-  std::fprintf(stderr, "download %s; %zu trace records\n", done ? "completed" : "TIMED OUT",
-               tb.trace()->size());
+  experiment::Session session{parsed->testbed, parsed->run};
+  tools::print_run_json(stderr, session.run());
+  const analysis::PacketTrace& trace = *session.testbed().trace();
+  std::fprintf(stderr, "%zu trace records\n", trace.size());
 
   if (flags.has("pcap")) {
     analysis::PcapWriteOptions opts;
@@ -62,7 +36,7 @@ int main(int argc, char** argv) {
       opts.kind = net::TraceEvent::Kind::kSend;
     }
     const std::string path = flags.get("pcap");
-    if (!analysis::write_pcap(*tb.trace(), path, opts)) {
+    if (!analysis::write_pcap(trace, path, opts)) {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
       return 1;
     }
@@ -71,7 +45,7 @@ int main(int argc, char** argv) {
   }
 
   // tcpdump-style text dump.
-  for (const analysis::TraceRecord& r : tb.trace()->records()) {
+  for (const analysis::TraceRecord& r : trace.records()) {
     const char* kind = r.kind == net::TraceEvent::Kind::kSend      ? "snd"
                        : r.kind == net::TraceEvent::Kind::kDeliver ? "rcv"
                                                                    : "drp";
