@@ -1,11 +1,15 @@
 // Tiny --flag=value / --flag value parser for the CLI tools.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace mpr::tools {
@@ -49,23 +53,63 @@ class Flags {
     return it->second != "false" && it->second != "0";
   }
 
-  /// Parses sizes like "64k", "4m", "512".
-  [[nodiscard]] std::uint64_t get_size(const std::string& name, std::uint64_t def) const {
+  /// A count flag: decimal digits only, within [min, max].
+  [[nodiscard]] std::optional<std::uint64_t> get_count(
+      const char* tool, const std::string& name, std::uint64_t def, std::uint64_t min,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return def;
+    std::uint64_t v = 0;
+    const char* end = it->second.data() + it->second.size();
+    const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
+    if (ec == std::errc{} && ptr == end && v >= min && v <= max) return v;
+    std::fprintf(stderr, "%s: --%s %s: expected an integer >= %llu", tool, name.c_str(),
+                 it->second.c_str(), static_cast<unsigned long long>(min));
+    if (max != std::numeric_limits<std::uint64_t>::max()) {
+      std::fprintf(stderr, " and <= %llu", static_cast<unsigned long long>(max));
+    }
+    std::fprintf(stderr, "\n");
+    return std::nullopt;
+  }
+
+  /// A size flag like "64k", "4m", "512": decimal digits with an optional
+  /// k/m/g suffix (powers of 1024), at least 1 byte.
+  [[nodiscard]] std::optional<std::uint64_t> get_size(const char* tool, const std::string& name,
+                                                      std::uint64_t def) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return def;
     const std::string& v = it->second;
-    char* end = nullptr;
-    const double base = std::strtod(v.c_str(), &end);
     std::uint64_t mult = 1;
-    if (end != nullptr && *end != '\0') {
-      switch (*end) {
-        case 'k': case 'K': mult = 1024; break;
-        case 'm': case 'M': mult = 1024 * 1024; break;
-        case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-        default: break;
-      }
+    switch (v.empty() ? '\0' : v.back()) {
+      case 'k': case 'K': mult = 1024; break;
+      case 'm': case 'M': mult = 1024 * 1024; break;
+      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
+      default: break;
     }
-    return static_cast<std::uint64_t>(base * static_cast<double>(mult));
+    const char* end = v.data() + v.size() - (mult == 1 ? 0 : 1);
+    std::uint64_t base = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), end, base);
+    if (ec == std::errc{} && ptr == end && base >= 1 &&
+        base <= std::numeric_limits<std::uint64_t>::max() / mult) {
+      return base * mult;
+    }
+    std::fprintf(stderr, "%s: --%s %s: expected a size of at least 1 byte, digits with an "
+                 "optional k, m or g suffix\n", tool, name.c_str(), v.c_str());
+    return std::nullopt;
+  }
+
+  /// A duration flag in seconds, within [0, max_s].
+  [[nodiscard]] std::optional<double> get_seconds(const char* tool, const std::string& name,
+                                                  double def, double max_s) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return def;
+    double v = 0;
+    const char* end = it->second.data() + it->second.size();
+    const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
+    if (ec == std::errc{} && ptr == end && v >= 0 && v <= max_s) return v;
+    std::fprintf(stderr, "%s: --%s %s: expected seconds in [0, %g]\n", tool, name.c_str(),
+                 it->second.c_str(), max_s);
+    return std::nullopt;
   }
 
   /// Looks up an enum-valued flag through `parse`, one of the library's

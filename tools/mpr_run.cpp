@@ -10,7 +10,7 @@
 //   --cc       coupled | olia | reno | vegas       (default coupled)
 //   --sched    minrtt | rr | weighted[:w1,w2,...] | redundant   (default minrtt)
 //              weighted takes per-subflow shares, e.g. --sched weighted:2,1
-//   --size     object bytes, k/m/g suffixes         (default 4m)
+//   --size     object bytes >= 1, k/m/g suffixes    (default 4m)
 //   --seed     RNG seed                             (default 1)
 //   --hotspot  use the public coffee-shop WiFi profile
 //   --simsyn   simultaneous SYNs
@@ -20,12 +20,15 @@
 //   --checksum       enable the RFC 6824 §3.3 DSS checksum
 //   --no-fallback    refuse plain-TCP fallback (stripped handshakes fail)
 //   --teardown       tear down the connection on a checksum failure
-//   --max-sim-time   watchdog: abort after this much simulated time (seconds)
-//   --max-events     watchdog: abort after this many simulator events
+//   --max-sim-time   watchdog: abort after this much simulated time (seconds,
+//                    at most 1e9; 0 = off)
+//   --max-events     watchdog: abort after this many simulator events (0 = off)
 //   --reps     repetitions (default 1)
 //   --jobs     worker threads for the reps (default MPR_JOBS, else all cores)
 //   --json     machine-readable output
-//   An unknown --mode, --carrier, --cc or --sched value exits 1.
+//   An unknown --mode, --carrier, --cc or --sched value, or a malformed or
+//   out-of-range --size, --max-sim-time, --max-events or --reps, exits 1.
+//   mpr_trace takes the same flags but --reps, --jobs and --json.
 //
 // Population-campaign mode (see EXPERIMENTS.md "Population campaigns"):
 //   mpr_run --campaign pop.spec --checkpoint pop.ckpt
@@ -39,6 +42,7 @@
 //               128+signal when interrupted (checkpoint written first).
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -199,7 +203,10 @@ int main(int argc, char** argv) {
   const TestbedConfig& tb = parsed->testbed;
   const RunConfig& rc = parsed->run;
 
-  const int reps = static_cast<int>(flags.get_int("reps", 1));
+  const auto reps_flag =
+      flags.get_count("mpr_run", "reps", 1, 1, std::numeric_limits<int>::max());
+  if (!reps_flag) return 1;
+  const int reps = static_cast<int>(*reps_flag);
   const bool json = flags.get_bool("json");
 
   // Reps are independently-seeded simulations: run them across the worker

@@ -82,19 +82,20 @@ inline std::optional<RunFlags> parse_run_flags(const Flags& flags, const char* t
                  tool, sched.c_str());
     return std::nullopt;
   }
-  rc.file_bytes = flags.get_size("size", 4 << 20);
+  const auto size = flags.get_size(tool, "size", 4 << 20);
+  const auto max_events = flags.get_count(tool, "max-events", 0, 0);
+  // 0 leaves the cap off, as in a campaign spec.
+  const auto max_sim_time = flags.get_seconds(tool, "max-sim-time", 0, sim::kMaxInputSeconds);
+  if (!size || !max_events || !max_sim_time) return std::nullopt;
+  rc.file_bytes = *size;
+  rc.max_events = *max_events;
+  rc.max_sim_time = sim::Duration::from_seconds(*max_sim_time);
   rc.simultaneous_syns = flags.get_bool("simsyn");
   if (flags.get_bool("backup")) rc.backup_local_addrs = {kClientCellAddr};
 
   rc.dss_checksum = flags.get_bool("checksum");
   rc.checksum_teardown = flags.get_bool("teardown");
   rc.allow_tcp_fallback = !flags.get_bool("no-fallback");
-  if (const long long cap = flags.get_int("max-events", 0); cap > 0) {
-    rc.max_events = static_cast<std::uint64_t>(cap);
-  }
-  if (const std::string t = flags.get("max-sim-time", ""); !t.empty()) {
-    rc.max_sim_time = sim::Duration::from_seconds(std::stod(t));
-  }
 
   if (const std::string scenario = flags.get("scenario", ""); !scenario.empty()) {
     std::string error;
