@@ -300,9 +300,12 @@ struct PinnedRun {
   std::uint64_t reinjections;
 };
 
-RunResult pinned_run(const PinnedRun& pin) {
+/// The pinned run, through run_download or, `traced`, through a Session
+/// that captures every packet: tracing must change no simulated output.
+RunResult pinned_run(const PinnedRun& pin, bool traced) {
   TestbedConfig tb;
   tb.seed = 2013;
+  tb.capture_trace = traced;
   tb.wifi = netem::wifi_hotspot();
   tb.cellular = carrier_profile(Carrier::kVerizon);
   RunConfig rc;
@@ -328,7 +331,11 @@ RunResult pinned_run(const PinnedRun& pin) {
     rc.faults = netem::FaultSchedule::parse(script, &error);
     EXPECT_EQ(error, "");
   }
-  return run_download(tb, rc);
+  if (!traced) return run_download(tb, rc);
+  Session session{tb, rc};
+  const RunResult r = session.run();
+  EXPECT_GT(session.testbed().trace()->size(), 0u) << pin.label;
+  return r;
 }
 
 TEST(Run, PinnedOutputsPerPathMode) {
@@ -349,23 +356,26 @@ TEST(Run, PinnedOutputsPerPathMode) {
        0x3ff8000000000000ULL, {352, 24, 137}, {290, 0, 129}, 559, 0},
   };
   for (const PinnedRun& pin : pins) {
-    const RunResult r = pinned_run(pin);
-    const auto expect_path = [&pin](const PathStats& got, const PinnedPath& want,
-                                    const char* path) {
-      EXPECT_EQ(got.data_packets_sent, want.data_packets_sent) << pin.label << " " << path;
-      EXPECT_EQ(got.rexmit_packets, want.rexmit_packets) << pin.label << " " << path;
-      EXPECT_EQ(got.rtt_ms.size(), want.rtt_samples) << pin.label << " " << path;
-    };
-    const auto time_bits = std::bit_cast<std::uint64_t>(r.download_time_s);
-    EXPECT_EQ(r.outcome, pin.outcome) << pin.label;
-    EXPECT_EQ(r.delivered_bytes, pin.delivered_bytes) << pin.label;
-    EXPECT_EQ(time_bits, pin.download_time_bits)
-        << pin.label << " download_time_s=" << r.download_time_s << " bits=0x" << std::hex
-        << time_bits;
-    expect_path(r.wifi, pin.wifi, "wifi");
-    expect_path(r.cellular, pin.cellular, "cellular");
-    EXPECT_EQ(r.ofo_ms.size(), pin.ofo_samples) << pin.label;
-    EXPECT_EQ(r.reinjections, pin.reinjections) << pin.label;
+    for (const bool traced : {false, true}) {
+      const RunResult r = pinned_run(pin, traced);
+      const std::string label = std::string{pin.label} + (traced ? " traced" : "");
+      const auto expect_path = [&label](const PathStats& got, const PinnedPath& want,
+                                        const char* path) {
+        EXPECT_EQ(got.data_packets_sent, want.data_packets_sent) << label << " " << path;
+        EXPECT_EQ(got.rexmit_packets, want.rexmit_packets) << label << " " << path;
+        EXPECT_EQ(got.rtt_ms.size(), want.rtt_samples) << label << " " << path;
+      };
+      const auto time_bits = std::bit_cast<std::uint64_t>(r.download_time_s);
+      EXPECT_EQ(r.outcome, pin.outcome) << label;
+      EXPECT_EQ(r.delivered_bytes, pin.delivered_bytes) << label;
+      EXPECT_EQ(time_bits, pin.download_time_bits)
+          << label << " download_time_s=" << r.download_time_s << " bits=0x" << std::hex
+          << time_bits;
+      expect_path(r.wifi, pin.wifi, "wifi");
+      expect_path(r.cellular, pin.cellular, "cellular");
+      EXPECT_EQ(r.ofo_ms.size(), pin.ofo_samples) << label;
+      EXPECT_EQ(r.reinjections, pin.reinjections) << label;
+    }
   }
 }
 
