@@ -23,14 +23,28 @@ namespace {
 const PaperPath kPaperWifi{{"2.1", "1.6", "1.9", "2.0"}, {"26.2", "25.9", "24.9", "23.5"}};
 const PaperPath kPaperAtt{{"0.1", "~", "~", "~"}, {"133.1", "154.5", "144.5", "146.4"}};
 
-Campaign large_flows(Carrier carrier, int n) {
-  return run_by_size(
+/// The campaign over one carrier. With `sp_wifi_from`, its SP-WiFi runs are
+/// copied instead of simulated: SP-WiFi never touches the cellular profile
+/// and its seeds derive from the label, so the runs would be identical.
+Campaign large_flows(Carrier carrier, int n, const Campaign* sp_wifi_from = nullptr) {
+  const std::string sp_wifi = to_string(PathMode::kSingleWifi);
+  Campaign c = run_by_size(
       {4 * kMB, 8 * kMB, 16 * kMB, 32 * kMB}, n,
-      [carrier](std::uint64_t size) {
-        return path_mode_entries(testbed_for(carrier), size,
-                                 {core::CcKind::kCoupled, core::CcKind::kOlia, core::CcKind::kReno});
+      [carrier, sp_wifi_from, &sp_wifi](std::uint64_t size) {
+        std::vector<MatrixEntry> es = path_mode_entries(
+            testbed_for(carrier), size,
+            {core::CcKind::kCoupled, core::CcKind::kOlia, core::CcKind::kReno});
+        if (sp_wifi_from != nullptr) {
+          std::erase_if(es, [&](const MatrixEntry& e) { return e.label == sp_wifi; });
+        }
+        return es;
       },
       [](std::uint64_t size) { return 909 + size; });
+  if (sp_wifi_from != nullptr) {
+    c.labels.insert(c.labels.begin(), sp_wifi);
+    c.runs[sp_wifi] = sp_wifi_from->runs.at(sp_wifi);
+  }
+  return c;
 }
 
 }  // namespace
@@ -38,7 +52,7 @@ Campaign large_flows(Carrier carrier, int n) {
 int main() {
   header("Figure 9", "Large-flow download time (seconds)");
   const Campaign att = large_flows(Carrier::kAtt, reps(8));
-  const Campaign vzw = large_flows(Carrier::kVerizon, reps(8));
+  const Campaign vzw = large_flows(Carrier::kVerizon, reps(8), &att);
   std::printf("\n--- AT&T LTE + home WiFi (the paper's Fig 9 setting) ---\n");
   print_download_times(att, 16, /*with_mean=*/true);
   std::printf("\n--- Verizon LTE + home WiFi (olia-vs-coupled shows here) ---\n");
