@@ -59,6 +59,15 @@ void MptcpSubflow::process_options(const net::Packet& p) {
         (kind_ == HandshakeKind::kJoin && p.tcp.mp_join() != nullptr)) {
       peer_confirmed_ = true;
     }
+    if (kind_ == HandshakeKind::kJoin && state() == tcp::TcpState::kEstablished &&
+        p.tcp.has(net::kFlagAck) && p.tcp.mp_join() != nullptr) {
+      // The server retransmitted its SYN-ACK: our third ACK was lost. A
+      // download sends no data on a join subflow, so nothing else would
+      // carry that ACK and the server's side would stay in SYN_RECEIVED.
+      // Only this case is answered, not every unacceptable segment as in
+      // RFC 9293 (see DESIGN.md §6).
+      send_ack_now();
+    }
   } else if (!p.tcp.has(net::kFlagRst) && dss == nullptr) {
     // An established peer speaking without any DSS: it fell back (or a
     // strict proxy strips every option). Mirror the decision if eligible.

@@ -28,6 +28,7 @@
 #include "experiment/run.h"
 #include "experiment/series.h"
 #include "experiment/testbed.h"
+#include "liveness.h"
 #include "netem/faults.h"
 
 namespace mpr {
@@ -343,6 +344,34 @@ TEST(InterfaceEvents, RemoveAddrThenRejoinMidDownload) {
 }
 
 // ---------------------------------------------------------------------------
+// Half-open re-join: after `ifup` the client re-joins over WiFi and the join's
+// third ACK is lost. The server retransmits its MP_JOIN SYN-ACK; the client,
+// already ESTABLISHED, must answer it, or the server's subflow stays in
+// SYN_RECEIVED and WiFi carries nothing for the rest of the run. Here the
+// rate-stepped cellular path then takes the last few hundred KB at ~15 KB/s
+// and the 600 s timeout fired with 9 886 800 B delivered (the stall of
+// perfbench's `lossy` workload).
+
+TEST(HalfOpenJoin, RetransmittedJoinSynAckIsAnswered) {
+  TestbedConfig tb;
+  tb.seed = 6068759655735852211ull;
+  tb.load_factor = 1.1;
+  tb.wifi = netem::wifi_hotspot();
+  tb.cellular = experiment::carrier_profile(experiment::Carrier::kVerizon);
+  tb.capture_trace = true;
+  RunConfig rc;
+  rc.cc = CcKind::kOlia;
+  rc.file_bytes = 10065920;
+  rc.timeout = sim::Duration::seconds(600);
+  rc.faults.rate_scale(3.207, "cell", 0.4345).iface_down(5.528, "wifi").iface_up(6.282, "wifi");
+  experiment::Session session{tb, rc};
+  const RunResult r = session.run();
+  EXPECT_EQ(r.outcome, experiment::RunOutcome::kCompleted);
+  EXPECT_EQ(r.delivered_bytes, rc.file_bytes);
+  EXPECT_EQ(testing_util::half_open_subflows(session), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // All paths dead: the connection must error out, not hang.
 
 TEST(AllPathsDead, ClientFailsWhenEveryInterfaceGoesAway) {
@@ -488,6 +517,36 @@ TEST_P(RandomFaultSweep, RandomScheduleIsDeterministic) {
   EXPECT_EQ(a.duplicates, b.duplicates);
   EXPECT_EQ(a.reinjections, b.reinjections);
   EXPECT_EQ(a.subflows, b.subflows);
+}
+
+// Hotspot WiFi + Verizon, with WiFi removed and re-added mid-download: the
+// re-join runs under the hotspot's loss, where a lost third ACK used to
+// leave the join half-open. The interface goes down only after the
+// connection is up (an ifdown during the MP_CAPABLE handshake kills the only
+// subflow, and the connection fails by design; see
+// AllPathsDead.InitialHandshakeGivesUpWithError). 20 schedules per cell, 60
+// per controller.
+TEST_P(RandomFaultSweep, RejoinUnderLossStaysLive) {
+  const auto [cc, sched_seed] = GetParam();
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    const std::uint64_t seed = 20 * (sched_seed - 1) + i;
+    TestbedConfig tb;
+    tb.seed = 5000 + seed;
+    tb.wifi = netem::wifi_hotspot();
+    tb.cellular = experiment::carrier_profile(experiment::Carrier::kVerizon);
+    tb.capture_trace = true;
+    RunConfig rc;
+    rc.cc = cc;
+    rc.file_bytes = 10ull << 20;
+    rc.timeout = sim::Duration::seconds(600);
+    std::mt19937_64 rng{seed};
+    std::uniform_real_distribution<double> frac{0.0, 1.0};
+    const double down = 2.0 + 4.0 * frac(rng);
+    rc.faults.iface_down(down, "wifi").iface_up(down + 0.3 + 1.2 * frac(rng), "wifi");
+    experiment::Session session{tb, rc};
+    EXPECT_TRUE(session.run().completed) << "seed=" << seed;
+    EXPECT_EQ(testing_util::half_open_subflows(session), 0u) << "seed=" << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
