@@ -347,10 +347,10 @@ TEST(InterfaceEvents, RemoveAddrThenRejoinMidDownload) {
 // Half-open re-join: after `ifup` the client re-joins over WiFi and the join's
 // third ACK is lost. The server retransmits its MP_JOIN SYN-ACK; the client,
 // already ESTABLISHED, must answer it, or the server's subflow stays in
-// SYN_RECEIVED and WiFi carries nothing for the rest of the run. Here the
-// rate-stepped cellular path then takes the last few hundred KB at ~15 KB/s
-// and the 600 s timeout fired with 9 886 800 B delivered (the stall of
-// perfbench's `lossy` workload).
+// SYN_RECEIVED and WiFi carries nothing for the rest of the run. In this run
+// (perfbench `lossy`'s known stall) the rate-stepped cellular path would then
+// carry the last few hundred KB at ~15 KB/s, and the 600 s timeout fires
+// with 9 886 800 B delivered.
 
 TEST(HalfOpenJoin, RetransmittedJoinSynAckIsAnswered) {
   TestbedConfig tb;
@@ -520,10 +520,11 @@ TEST_P(RandomFaultSweep, RandomScheduleIsDeterministic) {
 }
 
 // Hotspot WiFi + Verizon, with WiFi removed and re-added mid-download: the
-// re-join runs under the hotspot's loss, where a lost third ACK used to
-// leave the join half-open. The interface goes down only after the
-// connection is up (an ifdown during the MP_CAPABLE handshake kills the only
-// subflow, and the connection fails by design; see
+// re-join runs under the hotspot's loss, where a lost third ACK leaves the
+// join half-open unless the client answers the server's SYN-ACK
+// retransmission (see HalfOpenJoin above). The interface goes down only
+// after the connection is up (an ifdown during the MP_CAPABLE handshake
+// kills the only subflow, and the connection fails by design; see
 // AllPathsDead.InitialHandshakeGivesUpWithError). 20 schedules per cell, 60
 // per controller.
 TEST_P(RandomFaultSweep, RejoinUnderLossStaysLive) {
