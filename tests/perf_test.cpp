@@ -15,7 +15,6 @@
 #include "app/http.h"
 #include "experiment/run.h"
 #include "experiment/testbed.h"
-#include "host_speed.h"
 #include "net/link.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
@@ -142,34 +141,24 @@ TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
 
   // Warm-up run (pool population, page faults), then best-of-3 timed runs:
   // the max filters out transient scheduling noise on shared CI machines,
-  // which a single sample would fold into the rate. A shared host's speed
-  // also drifts by tens of percent for seconds at a time as neighbours come
-  // and go, slowing every program alike, so each run is scaled to the
-  // reference host of perfbench's calibration loop, read right before and
-  // right after it (as perfbench scales its end-to-end metrics).
+  // which a single sample would fold into the rate.
   (void)experiment::run_download(tb, rc);
   double rate = 0;
-  double raw_rate = 0;
   for (int i = 0; i < 3; ++i) {
-    const double calibration_before = perfbench::calibration_rate();
     const std::uint64_t before = sim::EventQueue::total_executed();
     const auto t0 = std::chrono::steady_clock::now();
     const experiment::RunResult r = experiment::run_download(tb, rc);
     const auto t1 = std::chrono::steady_clock::now();
     const std::uint64_t events = sim::EventQueue::total_executed() - before;
-    const double host_speed = 0.5 * (calibration_before + perfbench::calibration_rate()) /
-                              perfbench::kReferenceRate;
     ASSERT_TRUE(r.completed);
     ASSERT_GT(events, 150000u) << "download too small to measure an event rate";
     const double secs = std::chrono::duration<double>(t1 - t0).count();
-    raw_rate = std::max(raw_rate, static_cast<double>(events) / secs);
-    rate = std::max(rate, static_cast<double>(events) / secs / host_speed);
+    rate = std::max(rate, static_cast<double>(events) / secs);
   }
   RecordProperty("events_per_sec", static_cast<int64_t>(rate));
-  RecordProperty("unscaled_events_per_sec", static_cast<int64_t>(raw_rate));
   EXPECT_GE(rate, floor_eps)
-      << "scheduler throughput regressed: " << rate / 1e6 << " Mev/s on the reference host, "
-      << raw_rate / 1e6 << " Mev/s here (floor " << floor_eps / 1e6 << " Mev/s)";
+      << "scheduler throughput regressed: " << rate / 1e6 << " Mev/s (floor "
+      << floor_eps / 1e6 << " Mev/s)";
 }
 
 }  // namespace
