@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
@@ -40,11 +39,6 @@ class Flags {
   [[nodiscard]] std::string get(const std::string& name, const std::string& def = "") const {
     const auto it = values_.find(name);
     return it == values_.end() ? def : it->second;
-  }
-
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const {

@@ -11,7 +11,7 @@
 //   --sched    minrtt | rr | weighted[:w1,w2,...] | redundant   (default minrtt)
 //              weighted takes per-subflow shares, e.g. --sched weighted:2,1
 //   --size     object bytes >= 1, k/m/g suffixes    (default 4m)
-//   --seed     RNG seed                             (default 1)
+//   --seed     RNG seed, 0 to 2^64-1                (default 1)
 //   --hotspot  use the public coffee-shop WiFi profile
 //   --simsyn   simultaneous SYNs
 //   --backup   join cellular in backup mode
@@ -27,7 +27,8 @@
 //   --jobs     worker threads for the reps (default MPR_JOBS, else all cores)
 //   --json     machine-readable output
 //   An unknown --mode, --carrier, --cc or --sched value, or a malformed or
-//   out-of-range --size, --max-sim-time, --max-events or --reps, exits 1.
+//   out-of-range --size, --seed, --max-sim-time, --max-events, --reps or
+//   --jobs, exits 1.
 //   mpr_trace takes the same flags but --reps, --jobs and --json.
 //
 // Population-campaign mode (see EXPERIMENTS.md "Population campaigns"):
@@ -43,6 +44,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -108,6 +110,14 @@ void print_sketch_json(const char* name, const analysis::QSketch& s, bool traili
               trailing_comma ? "," : "");
 }
 
+/// `--jobs`: worker threads, 0 (the default) meaning MPR_JOBS, else all
+/// cores.
+std::optional<int> get_jobs(const tools::Flags& flags) {
+  const auto jobs = flags.get_count("mpr_run", "jobs", 0, 0, std::numeric_limits<int>::max());
+  if (!jobs) return std::nullopt;
+  return static_cast<int>(*jobs);
+}
+
 int run_campaign_cli(const tools::Flags& flags) {
   std::string error;
   const CampaignSpec spec = CampaignSpec::parse_file(flags.get("campaign"), &error);
@@ -116,10 +126,12 @@ int run_campaign_cli(const tools::Flags& flags) {
     return 1;
   }
 
+  const auto jobs = get_jobs(flags);
+  if (!jobs) return 1;
   CampaignOptions opt;
   opt.checkpoint_path = flags.get("checkpoint", "");
   opt.resume = flags.get_bool("resume");
-  opt.jobs = static_cast<int>(flags.get_int("jobs", 0));
+  opt.jobs = *jobs;
   opt.handle_signals = true;
 
   const std::optional<CampaignResult> res = run_campaign(spec, opt, &error);
@@ -205,14 +217,15 @@ int main(int argc, char** argv) {
 
   const auto reps_flag =
       flags.get_count("mpr_run", "reps", 1, 1, std::numeric_limits<int>::max());
-  if (!reps_flag) return 1;
+  const auto jobs_flag = get_jobs(flags);
+  if (!reps_flag || !jobs_flag) return 1;
   const int reps = static_cast<int>(*reps_flag);
   const bool json = flags.get_bool("json");
 
   // Reps are independently-seeded simulations: run them across the worker
   // pool, then print in rep order so output is identical at any job count.
   std::vector<RunResult> results(static_cast<std::size_t>(reps));
-  const unsigned jobs = sim::effective_jobs(static_cast<int>(flags.get_int("jobs", 0)));
+  const unsigned jobs = sim::effective_jobs(*jobs_flag);
   sim::parallel_for_index(results.size(), jobs, [&](std::size_t i) {
     TestbedConfig tbi = tb;
     tbi.seed = tb.seed + static_cast<std::uint64_t>(i);

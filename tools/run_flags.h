@@ -63,11 +63,12 @@ inline std::optional<RunFlags> parse_run_flags(const Flags& flags, const char* t
       flags.get_choice(tool, "mode", "mp2", mode_from_string, "sp-wifi | sp-cell | mp2 | mp4");
   const auto cc = flags.get_choice(tool, "cc", "coupled", core::cc_from_string,
                                    "coupled | olia | reno | vegas");
-  if (!carrier || !mode || !cc) return std::nullopt;
+  const auto seed = flags.get_count(tool, "seed", 1, 0);
+  if (!carrier || !mode || !cc || !seed) return std::nullopt;
 
   RunFlags out;
   TestbedConfig& tb = out.testbed;
-  tb.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  tb.seed = *seed;
   tb.wifi = flags.get_bool("hotspot") ? netem::wifi_hotspot() : netem::wifi_home();
   tb.cellular = carrier_profile(*carrier);
   tb.cellular.codel_downlink = flags.get_bool("codel");
