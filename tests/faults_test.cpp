@@ -196,6 +196,7 @@ struct FaultOutcome {
   /// When the client's on_error fired (infinity if it never did).
   double error_s{std::numeric_limits<double>::infinity()};
   std::vector<analysis::FlowReport> flows;  // of the packet capture
+  std::size_t half_open{0};                 // see testing_util::half_open_subflows
 };
 
 struct FaultCase {
@@ -205,6 +206,8 @@ struct FaultCase {
   std::uint64_t seed{11};
   bool mp4{false};
   bool capture_trace{false};
+  bool hotspot{false};  // public hotspot WiFi instead of home WiFi
+  experiment::Carrier carrier{experiment::Carrier::kAtt};
   double deadline_s{300};
   RunConfig cfg;  // subflow/join/dead-path knobs
 };
@@ -213,6 +216,8 @@ FaultOutcome run_faulted(const FaultCase& fc) {
   TestbedConfig tb_cfg;
   tb_cfg.seed = fc.seed;
   tb_cfg.capture_trace = fc.capture_trace;
+  if (fc.hotspot) tb_cfg.wifi = netem::wifi_hotspot();
+  tb_cfg.cellular = experiment::carrier_profile(fc.carrier);
   RunConfig rc = fc.cfg;
   rc.mode = fc.mp4 ? PathMode::kMptcp4 : PathMode::kMptcp2;
   rc.cc = fc.cc;
@@ -251,6 +256,7 @@ FaultOutcome run_faulted(const FaultCase& fc) {
   }
   if (const analysis::PacketTrace* trace = session.testbed().trace()) {
     out.flows = analysis::TcptraceAnalyzer{*trace}.flows();
+    out.half_open = testing_util::half_open_subflows(session);
   }
   return out;
 }
@@ -455,22 +461,13 @@ FaultSchedule random_wifi_schedule(std::uint64_t seed) {
   return s;
 }
 
-using FaultSweepParams = std::tuple<CcKind, std::uint64_t /*schedule seed*/>;
-
-class RandomFaultSweep : public ::testing::TestWithParam<FaultSweepParams> {};
-
-TEST_P(RandomFaultSweep, ExactlyOnceInOrderUnderRandomSchedule) {
-  const auto [cc, sched_seed] = GetParam();
-  FaultCase fc;
-  fc.cc = cc;
-  fc.bytes = 4ull << 20;
-  fc.seed = 100 + sched_seed;
-  fc.faults = random_wifi_schedule(sched_seed);
-  fc.capture_trace = true;
-  const FaultOutcome out = run_faulted(fc);
-
-  ASSERT_TRUE(out.completed) << "cc=" << static_cast<int>(cc) << " sched=" << sched_seed;
+/// The sweep's invariants for one traced run: it completed, delivered the
+/// object exactly once in DSN order, left no join half-open, and the
+/// client-side byte count agrees with the tcptrace-style analyzer.
+void expect_exactly_once(const FaultCase& fc, const FaultOutcome& out) {
+  ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
+  EXPECT_EQ(out.half_open, 0u);
   EXPECT_TRUE(out.dsn_in_order);
   EXPECT_EQ(out.conn_delivered, fc.bytes);
   EXPECT_EQ(out.next_dsn, fc.bytes) << "no bytes past the object may reach the app";
@@ -503,6 +500,22 @@ TEST_P(RandomFaultSweep, ExactlyOnceInOrderUnderRandomSchedule) {
       << "trace says far more payload was delivered than the app accounting allows";
 }
 
+using FaultSweepParams = std::tuple<CcKind, std::uint64_t /*schedule seed*/>;
+
+class RandomFaultSweep : public ::testing::TestWithParam<FaultSweepParams> {};
+
+TEST_P(RandomFaultSweep, ExactlyOnceInOrderUnderRandomSchedule) {
+  const auto [cc, sched_seed] = GetParam();
+  FaultCase fc;
+  fc.cc = cc;
+  fc.bytes = 4ull << 20;
+  fc.seed = 100 + sched_seed;
+  fc.faults = random_wifi_schedule(sched_seed);
+  fc.capture_trace = true;
+  SCOPED_TRACE(::testing::Message() << "cc=" << static_cast<int>(cc) << " sched=" << sched_seed);
+  expect_exactly_once(fc, run_faulted(fc));
+}
+
 TEST_P(RandomFaultSweep, RandomScheduleIsDeterministic) {
   const auto [cc, sched_seed] = GetParam();
   FaultCase fc;
@@ -526,27 +539,25 @@ TEST_P(RandomFaultSweep, RandomScheduleIsDeterministic) {
 // after the connection is up (an ifdown during the MP_CAPABLE handshake
 // kills the only subflow, and the connection fails by design; see
 // AllPathsDead.InitialHandshakeGivesUpWithError). 20 schedules per cell, 60
-// per controller.
+// per controller, each held to the sweep's exactly-once invariants.
 TEST_P(RandomFaultSweep, RejoinUnderLossStaysLive) {
   const auto [cc, sched_seed] = GetParam();
   for (std::uint64_t i = 1; i <= 20; ++i) {
     const std::uint64_t seed = 20 * (sched_seed - 1) + i;
-    TestbedConfig tb;
-    tb.seed = 5000 + seed;
-    tb.wifi = netem::wifi_hotspot();
-    tb.cellular = experiment::carrier_profile(experiment::Carrier::kVerizon);
-    tb.capture_trace = true;
-    RunConfig rc;
-    rc.cc = cc;
-    rc.file_bytes = 10ull << 20;
-    rc.timeout = sim::Duration::seconds(600);
+    FaultCase fc;
+    fc.cc = cc;
+    fc.bytes = 10ull << 20;
+    fc.seed = 5000 + seed;
+    fc.hotspot = true;
+    fc.carrier = experiment::Carrier::kVerizon;
+    fc.capture_trace = true;
+    fc.deadline_s = 600;
     std::mt19937_64 rng{seed};
     std::uniform_real_distribution<double> frac{0.0, 1.0};
     const double down = 2.0 + 4.0 * frac(rng);
-    rc.faults.iface_down(down, "wifi").iface_up(down + 0.3 + 1.2 * frac(rng), "wifi");
-    experiment::Session session{tb, rc};
-    EXPECT_TRUE(session.run().completed) << "seed=" << seed;
-    EXPECT_EQ(testing_util::half_open_subflows(session), 0u) << "seed=" << seed;
+    fc.faults.iface_down(down, "wifi").iface_up(down + 0.3 + 1.2 * frac(rng), "wifi");
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    expect_exactly_once(fc, run_faulted(fc));
   }
 }
 
