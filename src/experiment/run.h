@@ -29,6 +29,11 @@ enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 /// One measurement: the MPTCP stack it runs (the base; its `subflow`
 /// settings also configure the single-path TCP runs) plus the run's own
 /// fields below.
+///
+/// Receive buffers: the inherited `receive_buffer` is the MPTCP
+/// connection-level buffer only. Single-path runs and each subflow's
+/// advertised window read `subflow.receive_buffer`; a caller that means
+/// both sets `rc.receive_buffer = rc.subflow.receive_buffer = bytes`.
 struct RunConfig : core::MptcpConfig {
   PathMode mode{PathMode::kMptcp2};
   std::uint64_t file_bytes{512 * 1024};
