@@ -7,85 +7,6 @@
 
 namespace mpr::core {
 
-namespace {
-/// MinRtt: prefer established subflows with the lowest smoothed RTT.
-class MinRttScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       return a->srtt() < b->srtt();
-                     });
-  }
-};
-
-/// Deficit round-robin: the subflow that has been assigned the fewest
-/// data-level bytes pulls first, spreading data evenly regardless of RTT.
-/// Subflows without window space sort behind those with it: a
-/// cwnd-exhausted subflow (e.g. one collapsed to 1 MSS by an outage, with
-/// nothing in flight after loss marking) would otherwise keep the lowest
-/// deficit, soak up the front of every round and strand fresh chunks until
-/// RTO reinjection.
-class RoundRobinScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       if (a->has_window_space() != b->has_window_space()) {
-                         return a->has_window_space();
-                       }
-                       return a->scheduled_bytes() < b->scheduled_bytes();
-                     });
-  }
-};
-
-/// Weighted deficit round-robin: orders by scheduled bytes normalised by the
-/// configured per-subflow share, so a subflow with weight 3 carries ~3x the
-/// bytes of a weight-1 peer. Same window-space partition as round-robin.
-class WeightedScheduler final : public PacketScheduler {
- public:
-  explicit WeightedScheduler(const std::vector<double>& weights) : weights_{weights} {
-    for (double& w : weights_) {
-      if (!std::isfinite(w) || w <= 0.0) w = 1.0;
-    }
-  }
-
-  [[nodiscard]] double weight(std::uint8_t subflow_id) const override {
-    return subflow_id < weights_.size() ? weights_[subflow_id] : 1.0;
-  }
-
-  [[nodiscard]] bool enforces_shares() const override { return true; }
-
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [this](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       if (a->has_window_space() != b->has_window_space()) {
-                         return a->has_window_space();
-                       }
-                       return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
-                              static_cast<double>(b->scheduled_bytes()) / weight(b->id());
-                     });
-  }
-
- private:
-  std::vector<double> weights_;
-};
-
-/// Redundant: lowest-RTT pumping order like minrtt, but flags every fresh
-/// chunk for duplication onto a second subflow (the connection does the
-/// actual queueing in next_chunk_for).
-class RedundantScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       return a->srtt() < b->srtt();
-                     });
-  }
-  [[nodiscard]] bool redundant() const override { return true; }
-};
-}  // namespace
-
 std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
   if (s == "minrtt") return SchedulerKind::kMinRtt;
   if (s == "rr" || s == "roundrobin") return SchedulerKind::kRoundRobin;
@@ -94,15 +15,42 @@ std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-std::unique_ptr<PacketScheduler> make_scheduler(SchedulerKind k,
-                                                const std::vector<double>& weights) {
-  switch (k) {
-    case SchedulerKind::kRoundRobin: return std::make_unique<RoundRobinScheduler>();
-    case SchedulerKind::kWeighted: return std::make_unique<WeightedScheduler>(weights);
-    case SchedulerKind::kRedundant: return std::make_unique<RedundantScheduler>();
-    case SchedulerKind::kMinRtt: break;
+PacketScheduler::PacketScheduler(SchedulerKind kind, const std::vector<double>& weights)
+    : kind_{kind} {
+  if (kind != SchedulerKind::kWeighted) return;
+  weights_ = weights;
+  for (double& w : weights_) {
+    if (!std::isfinite(w) || w <= 0.0) w = 1.0;
   }
-  return std::make_unique<MinRttScheduler>();
+}
+
+void PacketScheduler::order(std::vector<MptcpSubflow*>& subflows) const {
+  switch (kind_) {
+    case SchedulerKind::kMinRtt:
+    case SchedulerKind::kRedundant:
+      std::stable_sort(subflows.begin(), subflows.end(),
+                       [](const MptcpSubflow* a, const MptcpSubflow* b) {
+                         return a->srtt() < b->srtt();
+                       });
+      return;
+    case SchedulerKind::kRoundRobin:
+    case SchedulerKind::kWeighted:
+      // Deficit round-robin over scheduled bytes / weight. Subflows without
+      // window space sort behind those with it: a cwnd-exhausted subflow
+      // (e.g. one collapsed to 1 MSS by an outage, with nothing in flight
+      // after loss marking) would otherwise keep the lowest deficit, soak up
+      // the front of every round and strand fresh chunks until RTO
+      // reinjection.
+      std::stable_sort(subflows.begin(), subflows.end(),
+                       [this](const MptcpSubflow* a, const MptcpSubflow* b) {
+                         if (a->has_window_space() != b->has_window_space()) {
+                           return a->has_window_space();
+                         }
+                         return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
+                                static_cast<double>(b->scheduled_bytes()) / weight(b->id());
+                       });
+      return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -118,24 +66,11 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       server_primary_{server},
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
-      scheduler_{make_scheduler(config.scheduler, config.scheduler_weights)},
+      scheduler_{config.scheduler, config.scheduler_weights},
       rx_{config.receive_buffer} {
   assert(!local_addrs_.empty());
   known_remote_addrs_.push_back(server.addr);
-#if MPR_AUDIT
-  audit_ = &host_.sim().service<check::Auditor>().make_conn(local_key_);
-  check::scheduler_weights_valid(config_.scheduler_weights, local_key_);
-#endif
-  rx_.on_deliver = [this](std::uint64_t dsn, std::uint32_t len) {
-#if MPR_AUDIT
-    audit_->on_deliver(dsn, len, host_.sim().now().ns());
-#endif
-    if (on_data) on_data(dsn, len);
-    if (data_fin_dsn_ && rx_.rcv_nxt() >= *data_fin_dsn_ && !data_fin_delivered_) {
-      data_fin_delivered_ = true;
-      if (on_data_fin) on_data_fin();
-    }
-  };
+  init_rx_and_audit();
 }
 
 MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
@@ -148,13 +83,23 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       advertise_addrs_{std::move(advertise)},
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
-      scheduler_{make_scheduler(config.scheduler, config.scheduler_weights)},
+      scheduler_{config.scheduler, config.scheduler_weights},
       rx_{config.receive_buffer} {
   assert(capable_syn.tcp.mp_capable() != nullptr);
   remote_key_ = capable_syn.tcp.mp_capable()->sender_key;
   known_remote_addrs_.push_back(capable_syn.src);
   local_addrs_ = host.addrs();
   first_syn_time_ = host.sim().now();
+  init_rx_and_audit();
+
+  MptcpSubflow& sf =
+      create_subflow(net::SocketAddr{capable_syn.dst, capable_syn.tcp.dst_port},
+                     net::SocketAddr{capable_syn.src, capable_syn.tcp.src_port},
+                     MptcpSubflow::HandshakeKind::kCapable);
+  sf.accept_syn(capable_syn);
+}
+
+void MptcpConnection::init_rx_and_audit() {
 #if MPR_AUDIT
   audit_ = &host_.sim().service<check::Auditor>().make_conn(local_key_);
   check::scheduler_weights_valid(config_.scheduler_weights, local_key_);
@@ -169,12 +114,6 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       if (on_data_fin) on_data_fin();
     }
   };
-
-  MptcpSubflow& sf =
-      create_subflow(net::SocketAddr{capable_syn.dst, capable_syn.tcp.dst_port},
-                     net::SocketAddr{capable_syn.src, capable_syn.tcp.src_port},
-                     MptcpSubflow::HandshakeKind::kCapable);
-  sf.accept_syn(capable_syn);
 }
 
 std::uint64_t MptcpConnection::token() const {
@@ -204,6 +143,23 @@ MptcpSubflow& MptcpConnection::create_subflow(net::SocketAddr local, net::Socket
   return sf;
 }
 
+void MptcpConnection::open_join(net::IpAddr local, net::IpAddr remote) {
+  MptcpSubflow& sf = create_subflow(net::SocketAddr{local, host_.ephemeral_port()},
+                                    net::SocketAddr{remote, server_primary_.port},
+                                    MptcpSubflow::HandshakeKind::kJoin, is_backup_addr(local));
+  sf.connect();
+}
+
+bool MptcpConnection::has_live_subflow(net::IpAddr local, net::IpAddr remote) const {
+  for (const auto& sf : subflows_) {
+    if (sf->local().addr == local && sf->remote().addr == remote &&
+        sf->state() != tcp::TcpState::kClosed && sf->state() != tcp::TcpState::kDone) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool MptcpConnection::is_backup_addr(net::IpAddr addr) const {
   return std::find(config_.backup_local_addrs.begin(), config_.backup_local_addrs.end(),
                    addr) != config_.backup_local_addrs.end();
@@ -228,37 +184,8 @@ void MptcpConnection::connect() {
       create_subflow(net::SocketAddr{local_addrs_[0], host_.ephemeral_port()}, server_primary_,
                      MptcpSubflow::HandshakeKind::kCapable);
   initial.connect();
-
-  if (config_.simultaneous_syns) {
-    joins_started_ = true;
-    // §4.1.2: fire all JOIN SYNs at the same instant as the first SYN.
-    for (std::size_t i = 1; i < local_addrs_.size(); ++i) {
-      MptcpSubflow& sf =
-          create_subflow(net::SocketAddr{local_addrs_[i], host_.ephemeral_port()},
-                         server_primary_, MptcpSubflow::HandshakeKind::kJoin,
-                         is_backup_addr(local_addrs_[i]));
-      sf.connect();
-    }
-  }
-}
-
-void MptcpConnection::start_delayed_joins() {
-  for (std::size_t i = 1; i < local_addrs_.size(); ++i) {
-    MptcpSubflow& sf = create_subflow(net::SocketAddr{local_addrs_[i], host_.ephemeral_port()},
-                                      server_primary_, MptcpSubflow::HandshakeKind::kJoin,
-                                      is_backup_addr(local_addrs_[i]));
-    sf.connect();
-  }
-}
-
-void MptcpConnection::join_towards(net::IpAddr remote_addr) {
-  for (const net::IpAddr local : local_addrs_) {
-    MptcpSubflow& sf = create_subflow(net::SocketAddr{local, host_.ephemeral_port()},
-                                      net::SocketAddr{remote_addr, server_primary_.port},
-                                      MptcpSubflow::HandshakeKind::kJoin,
-                                      is_backup_addr(local));
-    sf.connect();
-  }
+  // §4.1.2: fire all JOIN SYNs at the same instant as the first SYN.
+  if (config_.simultaneous_syns) maybe_start_joins();
 }
 
 void MptcpConnection::on_remote_add_addr(net::IpAddr addr) {
@@ -268,7 +195,7 @@ void MptcpConnection::on_remote_add_addr(net::IpAddr addr) {
     return;
   }
   known_remote_addrs_.push_back(addr);
-  join_towards(addr);
+  for (const net::IpAddr local : local_addrs_) open_join(local, addr);
 }
 
 void MptcpConnection::accept_join(const net::Packet& join_syn) {
@@ -363,7 +290,7 @@ void MptcpConnection::pump_all() {
     return sf->state() != tcp::TcpState::kEstablished &&
            sf->state() != tcp::TcpState::kCloseWait;
   });
-  scheduler_->order(order);
+  scheduler_.order(order);
 #if MPR_AUDIT
   {
     std::vector<check::SchedEntry> entries;
@@ -371,13 +298,13 @@ void MptcpConnection::pump_all() {
     for (const MptcpSubflow* sf : order) {
       entries.push_back(check::SchedEntry{
           sf->has_window_space(), sf->srtt().ns(),
-          static_cast<double>(sf->scheduled_bytes()) / scheduler_->weight(sf->id())});
+          static_cast<double>(sf->scheduled_bytes()) / scheduler_.weight(sf->id())});
     }
-    const bool by_space = config_.scheduler == SchedulerKind::kRoundRobin ||
-                          config_.scheduler == SchedulerKind::kWeighted;
-    const bool by_srtt = config_.scheduler == SchedulerKind::kMinRtt ||
-                         config_.scheduler == SchedulerKind::kRedundant;
-    check::scheduler_pump_order(entries, by_space, by_srtt, local_key_,
+    // minrtt and redundant order by srtt; roundrobin and weighted partition
+    // by window space, then order by deficit.
+    const bool by_srtt = scheduler_.kind() == SchedulerKind::kMinRtt ||
+                         scheduler_.kind() == SchedulerKind::kRedundant;
+    check::scheduler_pump_order(entries, /*partition_by_space=*/!by_srtt, by_srtt, local_key_,
                                 host_.sim().now().ns());
   }
 #endif
@@ -391,11 +318,11 @@ void MptcpConnection::set_scheduler(SchedulerKind kind, std::vector<double> weig
 #if MPR_AUDIT
   check::scheduler_weights_valid(config_.scheduler_weights, local_key_);
 #endif
-  scheduler_ = make_scheduler(kind, config_.scheduler_weights);
+  scheduler_ = PacketScheduler{kind, config_.scheduler_weights};
   // Duplicates queued by the old strategy are opportunistic copies; the
   // originals are still outstanding on their subflows, so dropping the
   // queue cannot lose data.
-  if (!scheduler_->redundant()) dup_queue_.clear();
+  if (!scheduler_.redundant()) dup_queue_.clear();
   pump_all();
 }
 
@@ -404,97 +331,16 @@ std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::next_chunk_for(
   // Plain-TCP fallback: one subflow, no DSS mappings, no reinjection. The
   // data stream rides the subflow's own sequence space; data-level progress
   // is tracked via on_fallback_ack.
-  if (fallback_ == FallbackKind::kPlainTcp) {
-    if (app_pending_ == 0) return std::nullopt;
-    const std::uint64_t data_in_flight = data_snd_nxt_ - data_una_;
-    if (data_in_flight >= peer_window_) return std::nullopt;
-    const std::uint64_t room = peer_window_ - data_in_flight;
-    const auto len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>({max_len, app_pending_, room}));
-    if (len == 0) return std::nullopt;
-    tcp::TcpEndpoint::Chunk chunk;
-    chunk.len = len;
-    chunk.dsn = data_snd_nxt_;
-#if MPR_AUDIT
-    audit_->on_send_chunk(*chunk.dsn, len, /*reinject=*/false, sf.id(),
-                          host_.sim().now().ns());
-#endif
-    data_snd_nxt_ += len;
-    app_pending_ -= len;
-    if (data_fin_requested_ && app_pending_ == 0) data_fin_sent_ = true;
-    return chunk;
-  }
+  if (fallback_ == FallbackKind::kPlainTcp) return grant_fresh(sf, max_len);
 
   // Backup subflows (RFC 6824 B bit) stay idle while any regular subflow
   // is operational.
   if (sf.backup() && any_healthy_regular_subflow()) return std::nullopt;
 
-  // Reinjections of stranded data first (never back onto the origin unless
-  // it is the only subflow). Entries the peer has data-acked in the
-  // meantime are dropped on the way.
-  for (auto it = reinject_queue_.begin(); it != reinject_queue_.end();) {
-    if (it->dsn + it->len <= data_una_) {
-      it = reinject_queue_.erase(it);
-      continue;
-    }
-    if (it->origin == sf.id() && subflows_.size() > 1) {
-      ++it;
-      continue;
-    }
-    tcp::TcpEndpoint::Chunk chunk;
-    chunk.dsn = it->dsn;
-    if (it->len <= max_len) {
-      chunk.len = it->len;
-      reinject_queue_.erase(it);
-    } else {
-      chunk.len = max_len;
-      it->dsn += max_len;
-      it->len -= max_len;
-    }
-    ++reinjected_chunks_;
-#if MPR_AUDIT
-    audit_->on_send_chunk(*chunk.dsn, chunk.len, /*reinject=*/true, sf.id(),
-                          host_.sim().now().ns());
-#endif
-    return chunk;
-  }
-
-  // Redundant-scheduler duplicates: consumed by the first subflow that is
-  // not the origin, so every duplicated DSN range travels on two paths and
-  // the first arrival wins. Entries the peer has data-acked in the meantime
-  // are dropped on the way. Audited as reinjections — a duplicate never
-  // maps new DSN space.
-  for (auto it = dup_queue_.begin(); it != dup_queue_.end();) {
-    if (it->dsn + it->len <= data_una_) {
-      it = dup_queue_.erase(it);
-      continue;
-    }
-    if (it->origin == sf.id()) {
-      ++it;
-      continue;
-    }
-    tcp::TcpEndpoint::Chunk chunk;
-    chunk.dsn = it->dsn;
-    const std::uint8_t origin = it->origin;
-    if (it->len <= max_len) {
-      chunk.len = it->len;
-      dup_queue_.erase(it);
-    } else {
-      chunk.len = max_len;
-      it->dsn += max_len;
-      it->len -= max_len;
-    }
-    ++redundant_chunks_;
-#if MPR_AUDIT
-    check::redundant_duplicate(origin, sf.id(), local_key_, *chunk.dsn,
-                               host_.sim().now().ns());
-    audit_->on_send_chunk(*chunk.dsn, chunk.len, /*reinject=*/true, sf.id(),
-                          host_.sim().now().ns());
-#else
-    (void)origin;
-#endif
-    return chunk;
-  }
+  // Reinjections of stranded data first, then redundant-scheduler
+  // duplicates.
+  if (auto chunk = take_queued(/*duplicate=*/false, sf, max_len)) return chunk;
+  if (auto chunk = take_queued(/*duplicate=*/true, sf, max_len)) return chunk;
 
   if (app_pending_ == 0) return std::nullopt;
 
@@ -505,28 +351,91 @@ std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::next_chunk_for(
   // lags; the laggard pulls the next chunk instead. Only subflows that
   // could actually send now (healthy, non-backup, window space) hold a
   // leader back, so a stalled path never throttles the connection.
-  if (scheduler_->enforces_shares()) {
-    const double mine =
-        static_cast<double>(sf.scheduled_bytes()) / scheduler_->weight(sf.id());
-    const double slack = static_cast<double>(max_len) / scheduler_->weight(sf.id());
+  if (scheduler_.enforces_shares()) {
+    const double mine = static_cast<double>(sf.scheduled_bytes()) / scheduler_.weight(sf.id());
+    const double slack = static_cast<double>(max_len) / scheduler_.weight(sf.id());
     for (const auto& other : subflows_) {
       if (other.get() == &sf || !other->healthy() || other->backup() ||
           !other->has_window_space()) {
         continue;
       }
-      const double theirs = static_cast<double>(other->scheduled_bytes()) /
-                            scheduler_->weight(other->id());
+      const double theirs =
+          static_cast<double>(other->scheduled_bytes()) / scheduler_.weight(other->id());
       if (mine > theirs + slack) return std::nullopt;
     }
   }
 
+  std::optional<tcp::TcpEndpoint::Chunk> chunk = grant_fresh(sf, max_len);
+  if (chunk && scheduler_.redundant()) {
+    // Queue a duplicate for another subflow — only when one exists, so the
+    // queue cannot grow unbounded on a single-path connection. DATA_FIN
+    // rides the original alone.
+    std::size_t established = 0;
+    for (const auto& other : subflows_) {
+      if (other->state() == tcp::TcpState::kEstablished ||
+          other->state() == tcp::TcpState::kCloseWait) {
+        ++established;
+      }
+    }
+    if (established >= 2) dup_queue_.push_back(Reinject{*chunk->dsn, chunk->len, sf.id()});
+  }
+  return chunk;
+}
+
+std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::take_queued(bool duplicate,
+                                                                   const MptcpSubflow& sf,
+                                                                   std::uint32_t max_len) {
+  sim::FlatDeque<Reinject>& queue = duplicate ? dup_queue_ : reinject_queue_;
+  // A duplicate never goes out on its original's subflow, so every
+  // duplicated DSN range travels on two paths and the first arrival wins.
+  // Stranded data goes back onto its origin only when that is the only
+  // subflow.
+  const bool origin_may_carry = !duplicate && subflows_.size() == 1;
+  for (auto it = queue.begin(); it != queue.end();) {
+    if (it->dsn + it->len <= data_una_) {
+      it = queue.erase(it);
+      continue;
+    }
+    if (it->origin == sf.id() && !origin_may_carry) {
+      ++it;
+      continue;
+    }
+    tcp::TcpEndpoint::Chunk chunk;
+    chunk.dsn = it->dsn;
+    const std::uint8_t origin = it->origin;
+    if (it->len <= max_len) {
+      chunk.len = it->len;
+      queue.erase(it);
+    } else {
+      chunk.len = max_len;
+      it->dsn += max_len;
+      it->len -= max_len;
+    }
+    ++(duplicate ? redundant_chunks_ : reinjected_chunks_);
+    // Both are audited as reinjections: neither maps new DSN space.
+#if MPR_AUDIT
+    if (duplicate) {
+      check::redundant_duplicate(origin, sf.id(), local_key_, *chunk.dsn,
+                                 host_.sim().now().ns());
+    }
+    audit_->on_send_chunk(*chunk.dsn, chunk.len, /*reinject=*/true, sf.id(),
+                          host_.sim().now().ns());
+#else
+    (void)origin;
+#endif
+    return chunk;
+  }
+  return std::nullopt;
+}
+
+std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::grant_fresh(
+    [[maybe_unused]] const MptcpSubflow& sf, std::uint32_t max_len) {
   // Connection-level flow control against the peer's advertised window.
   const std::uint64_t data_in_flight = data_snd_nxt_ - data_una_;
   if (data_in_flight >= peer_window_) {
-    if (config_.penalization) maybe_penalize();
+    if (config_.penalization && fallback_ != FallbackKind::kPlainTcp) maybe_penalize();
     return std::nullopt;
   }
-
   const std::uint64_t room = peer_window_ - data_in_flight;
   const auto len = static_cast<std::uint32_t>(
       std::min<std::uint64_t>({max_len, app_pending_, room}));
@@ -542,21 +451,9 @@ std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::next_chunk_for(
   data_snd_nxt_ += len;
   app_pending_ -= len;
   if (data_fin_requested_ && app_pending_ == 0) {
-    chunk.data_fin = true;
+    // Plain TCP has no DATA_FIN: the subflow FIN ends the stream.
+    chunk.data_fin = fallback_ != FallbackKind::kPlainTcp;
     data_fin_sent_ = true;
-  }
-  if (scheduler_->redundant()) {
-    // Queue a duplicate for another subflow — only when one exists, so the
-    // queue cannot grow unbounded on a single-path connection. DATA_FIN
-    // rides the original alone.
-    std::size_t established = 0;
-    for (const auto& other : subflows_) {
-      if (other->state() == tcp::TcpState::kEstablished ||
-          other->state() == tcp::TcpState::kCloseWait) {
-        ++established;
-      }
-    }
-    if (established >= 2) dup_queue_.push_back(Reinject{*chunk.dsn, chunk.len, sf.id()});
   }
   return chunk;
 }
@@ -570,13 +467,10 @@ void MptcpConnection::on_data_ack(std::uint64_t data_ack) {
   data_una_ = data_ack;
   dead_since_.reset();  // data-level progress: some path works
   // Drop reinjection state the ack has made moot.
-  while (!reinject_queue_.empty() &&
-         reinject_queue_.front().dsn + reinject_queue_.front().len <= data_una_) {
-    reinject_queue_.pop_front();
-  }
-  while (!dup_queue_.empty() &&
-         dup_queue_.front().dsn + dup_queue_.front().len <= data_una_) {
-    dup_queue_.pop_front();
+  for (sim::FlatDeque<Reinject>* queue : {&reinject_queue_, &dup_queue_}) {
+    while (!queue->empty() && queue->front().dsn + queue->front().len <= data_una_) {
+      queue->pop_front();
+    }
   }
   reinjected_dsns_.erase_below(data_una_);
   maybe_close_subflows();
@@ -589,6 +483,16 @@ void MptcpConnection::maybe_close_subflows() {
   // All data acknowledged at the data level: close subflows cleanly.
   subflows_closed_ = true;
   for (const auto& sf : subflows_) sf->shutdown_write();
+}
+
+bool MptcpConnection::requeue_from(std::uint64_t dsn, std::uint8_t origin) {
+  if (data_snd_nxt_ <= dsn) return false;
+  reinject_queue_.push_back(
+      Reinject{dsn,
+               static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                   data_snd_nxt_ - dsn, std::numeric_limits<std::uint32_t>::max())),
+               origin});
+  return true;
 }
 
 void MptcpConnection::strand(MptcpSubflow& sf) {
@@ -608,8 +512,7 @@ void MptcpConnection::strand(MptcpSubflow& sf) {
 }
 
 void MptcpConnection::on_subflow_rto(MptcpSubflow& sf) {
-  if (config_.reinjection &&
-      sf.consecutive_timeouts() >= config_.subflow.dead_rto_threshold) {
+  if (sf.consecutive_timeouts() >= config_.subflow.dead_rto_threshold) {
     // A single timeout can be an isolated loss; reinject once the subflow
     // has stalled past the dead-path threshold.
     strand(sf);
@@ -623,8 +526,7 @@ void MptcpConnection::on_subflow_rto(MptcpSubflow& sf) {
 
 void MptcpConnection::on_subflow_connect_failed(MptcpSubflow& sf) {
   if (!failed_ && !closing()) {
-    if (role_ == Role::kClient && sf.kind() == MptcpSubflow::HandshakeKind::kJoin &&
-        config_.join_retry) {
+    if (role_ == Role::kClient && sf.kind() == MptcpSubflow::HandshakeKind::kJoin) {
       schedule_join_retry(sf.local().addr, sf.remote().addr);
     } else if (sf.kind() == MptcpSubflow::HandshakeKind::kCapable && !established_) {
       // The initial handshake gave up: there is no connection to fail over.
@@ -635,13 +537,17 @@ void MptcpConnection::on_subflow_connect_failed(MptcpSubflow& sf) {
   note_paths_dead();
 }
 
+/// Ceiling of the join-retry backoff, which doubles from
+/// MptcpConfig::join_retry_initial.
+constexpr sim::Duration kJoinRetryCap = sim::Duration::seconds(30);
+
 void MptcpConnection::schedule_join_retry(net::IpAddr local, net::IpAddr remote) {
   const std::uint64_t key = join_key(local, remote);
   JoinRetryState& st = join_retries_[key];
   if (st.timer != sim::kInvalidEventId) return;
   sim::Duration delay = config_.join_retry_initial;
-  for (int i = 0; i < st.attempts && delay < config_.join_retry_cap; ++i) delay = delay * 2;
-  delay = std::min(delay, config_.join_retry_cap);
+  for (int i = 0; i < st.attempts && delay < kJoinRetryCap; ++i) delay = delay * 2;
+  delay = std::min(delay, kJoinRetryCap);
   ++st.attempts;
   st.timer = host_.sim().after(delay, [this, local, remote, key] {
     join_retries_[key].timer = sim::kInvalidEventId;
@@ -658,16 +564,8 @@ void MptcpConnection::retry_join(net::IpAddr local, net::IpAddr remote) {
   }
   // A live subflow on this pair (e.g. created by an address re-add in the
   // meantime) makes the retry moot.
-  for (const auto& sf : subflows_) {
-    if (sf->local().addr == local && sf->remote().addr == remote &&
-        sf->state() != tcp::TcpState::kClosed && sf->state() != tcp::TcpState::kDone) {
-      return;
-    }
-  }
-  MptcpSubflow& sf = create_subflow(net::SocketAddr{local, host_.ephemeral_port()},
-                                    net::SocketAddr{remote, server_primary_.port},
-                                    MptcpSubflow::HandshakeKind::kJoin, is_backup_addr(local));
-  sf.connect();
+  if (has_live_subflow(local, remote)) return;
+  open_join(local, remote);
 }
 
 void MptcpConnection::clear_join_retry(net::IpAddr local, net::IpAddr remote) {
@@ -675,6 +573,17 @@ void MptcpConnection::clear_join_retry(net::IpAddr local, net::IpAddr remote) {
   if (it == join_retries_.end()) return;
   if (it->second.timer != sim::kInvalidEventId) host_.sim().cancel(it->second.timer);
   join_retries_.erase(it);
+}
+
+void MptcpConnection::cancel_join_retries(std::optional<net::IpAddr> local) {
+  for (auto it = join_retries_.begin(); it != join_retries_.end();) {
+    if (local && static_cast<std::uint32_t>(it->first >> 32) != local->value) {
+      ++it;
+      continue;
+    }
+    if (it->second.timer != sim::kInvalidEventId) host_.sim().cancel(it->second.timer);
+    it = join_retries_.erase(it);
+  }
 }
 
 bool MptcpConnection::any_viable_subflow() const {
@@ -731,10 +640,7 @@ void MptcpConnection::on_dead_deadline() {
 void MptcpConnection::fail_connection() {
   if (failed_) return;
   failed_ = true;
-  for (auto& [key, st] : join_retries_) {
-    if (st.timer != sim::kInvalidEventId) host_.sim().cancel(st.timer);
-  }
-  join_retries_.clear();
+  cancel_join_retries();
   if (dead_timer_ != sim::kInvalidEventId) {
     host_.sim().cancel(dead_timer_);
     dead_timer_ = sim::kInvalidEventId;
@@ -787,10 +693,7 @@ void MptcpConnection::enter_plain_fallback(MptcpSubflow& sf) {
   // and reset every other subflow (they are not part of a plain TCP
   // connection).
   joins_started_ = true;
-  for (auto& [key, st] : join_retries_) {
-    if (st.timer != sim::kInvalidEventId) host_.sim().cancel(st.timer);
-  }
-  join_retries_.clear();
+  cancel_join_retries();
   for (const auto& other : subflows_) {
     if (other.get() == &sf) continue;
     if (other->state() != tcp::TcpState::kClosed && other->state() != tcp::TcpState::kDone) {
@@ -826,9 +729,7 @@ void MptcpConnection::on_subflow_reset(MptcpSubflow& sf, bool during_handshake) 
     // A refused join: the connection survives on its other subflows. The
     // endpoint already went through handle_connect_failed (which handles
     // retry scheduling), so only account for the refusal here.
-    ++fallback_counters_.join_refusals;
-    clear_join_retry(sf.local().addr, sf.remote().addr);
-    note_paths_dead();
+    on_join_refused(sf);
     return;
   }
   // Mid-stream RST: treat like a dead path — reinject stranded data. If the
@@ -840,14 +741,7 @@ void MptcpConnection::on_subflow_reset(MptcpSubflow& sf, bool during_handshake) 
   // outstanding at the data level; duplicates are absorbed by the reorder
   // buffer and dropped once data-acked.
   strand(sf);
-  if (data_snd_nxt_ > data_una_) {
-    const std::uint64_t span = data_snd_nxt_ - data_una_;
-    reinject_queue_.push_back(
-        Reinject{data_una_,
-                 static_cast<std::uint32_t>(
-                     std::min<std::uint64_t>(span, std::numeric_limits<std::uint32_t>::max())),
-                 sf.id()});
-  }
+  requeue_from(data_una_, sf.id());
   note_paths_dead();
   pump_all();
 }
@@ -917,13 +811,7 @@ void MptcpConnection::on_remote_mp_fail(MptcpSubflow& sf, std::uint64_t dsn,
   }
   // Everything from the failed DSN on needs to reach the peer again: the
   // corrupt range was TCP-acked, so it is not in any outstanding mapping.
-  const std::uint64_t from = std::max(dsn, data_una_);
-  if (data_snd_nxt_ > from) {
-    reinject_queue_.push_back(
-        Reinject{from,
-                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                     data_snd_nxt_ - from, std::numeric_limits<std::uint32_t>::max())),
-                 subflow_closed ? sf.id() : kReinjectAnyOrigin});
+  if (requeue_from(std::max(dsn, data_una_), subflow_closed ? sf.id() : kReinjectAnyOrigin)) {
     pump_all();
   }
 }
@@ -986,14 +874,7 @@ void MptcpConnection::remove_local_addr(net::IpAddr addr) {
   }
   std::erase(local_addrs_, addr);
   // Cancel any join-retry backoff from the removed address.
-  for (auto it = join_retries_.begin(); it != join_retries_.end();) {
-    if (static_cast<std::uint32_t>(it->first >> 32) == addr.value) {
-      if (it->second.timer != sim::kInvalidEventId) host_.sim().cancel(it->second.timer);
-      it = join_retries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  cancel_join_retries(addr);
   // Withdraw the address; the option stays attached (idempotent via the
   // generation stamp) so a lost ACK cannot strand the peer's subflows.
   remove_addr_pending_ = net::RemoveAddrOption{addr, ++remove_addr_generation_};
@@ -1019,20 +900,9 @@ void MptcpConnection::add_local_addr(net::IpAddr addr) {
   }
   if (role_ != Role::kClient || !joins_started_) return;
   for (const net::IpAddr remote : known_remote_addrs_) {
-    bool have_live = false;
-    for (const auto& sf : subflows_) {
-      if (sf->local().addr == addr && sf->remote().addr == remote &&
-          sf->state() != tcp::TcpState::kClosed && sf->state() != tcp::TcpState::kDone) {
-        have_live = true;
-        break;
-      }
-    }
-    if (have_live) continue;
+    if (has_live_subflow(addr, remote)) continue;
     clear_join_retry(addr, remote);  // fresh interface: reset the backoff
-    MptcpSubflow& sf = create_subflow(net::SocketAddr{addr, host_.ephemeral_port()},
-                                      net::SocketAddr{remote, server_primary_.port},
-                                      MptcpSubflow::HandshakeKind::kJoin, is_backup_addr(addr));
-    sf.connect();
+    open_join(addr, remote);
   }
 }
 
@@ -1094,7 +964,9 @@ void MptcpConnection::maybe_start_joins() {
   // peer speaks MPTCP.
   if (joins_started_ || role_ != Role::kClient) return;
   joins_started_ = true;
-  start_delayed_joins();
+  for (std::size_t i = 1; i < local_addrs_.size(); ++i) {
+    open_join(local_addrs_[i], server_primary_.addr);
+  }
 }
 
 }  // namespace mpr::core

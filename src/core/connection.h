@@ -54,16 +54,12 @@ struct MptcpConfig {
   bool simultaneous_syns{false};
   /// Linux receive-buffer penalization; the paper removes it (§3.1).
   bool penalization{false};
-  /// Reinject stranded data of a subflow after repeated RTOs.
-  bool reinjection{true};
   std::uint64_t receive_buffer{8 * 1024 * 1024};
-  /// Retry MP_JOIN SYNs that exhausted their TCP-level retries (the kernel
-  /// path manager gives up forever; under scripted outages that permanently
-  /// loses the second path). Backoff doubles from `join_retry_initial` up to
-  /// `join_retry_cap`.
-  bool join_retry{true};
+  /// First delay before an MP_JOIN SYN that exhausted its TCP-level retries
+  /// is tried again (the kernel path manager gives up forever; under
+  /// scripted outages that permanently loses the second path). The backoff
+  /// doubles from here up to 30 s.
   sim::Duration join_retry_initial{sim::Duration::seconds(1)};
-  sim::Duration join_retry_cap{sim::Duration::seconds(30)};
   /// Fail the connection (error to the app, not a hang) once *every*
   /// subflow has been dead — no handshake in progress and past the
   /// consecutive-RTO threshold — for this long.
@@ -226,14 +222,30 @@ class MptcpConnection {
   void note_dss_seen() { dss_seen_ = true; }
 
  private:
+  /// Receive-side delivery hook and DSN auditor, shared by both constructors.
+  void init_rx_and_audit();
   MptcpSubflow& create_subflow(net::SocketAddr local, net::SocketAddr remote,
                                MptcpSubflow::HandshakeKind kind, bool backup = false);
+  /// Client: opens an MP_JOIN subflow from `local` to `remote`.
+  void open_join(net::IpAddr local, net::IpAddr remote);
+  /// A subflow on this address pair that is not closed.
+  [[nodiscard]] bool has_live_subflow(net::IpAddr local, net::IpAddr remote) const;
   [[nodiscard]] bool is_backup_addr(net::IpAddr addr) const;
   [[nodiscard]] bool any_healthy_regular_subflow() const;
   void maybe_start_joins();
-  void start_delayed_joins();
-  void join_towards(net::IpAddr remote_addr);
   void pump_all();
+  /// Hands `sf` the first entry of the reinjection queue (or, with
+  /// `duplicate`, of the redundant duplicate queue) it may carry, cut to
+  /// `max_len`, dropping data-acked entries on the way.
+  std::optional<tcp::TcpEndpoint::Chunk> take_queued(bool duplicate, const MptcpSubflow& sf,
+                                                     std::uint32_t max_len);
+  /// Maps the next `max_len` bytes of application data, within the peer's
+  /// window, for `sf`.
+  std::optional<tcp::TcpEndpoint::Chunk> grant_fresh(const MptcpSubflow& sf,
+                                                     std::uint32_t max_len);
+  /// Queues everything sent from `dsn` on for reinjection; false when
+  /// nothing was sent past it.
+  bool requeue_from(std::uint64_t dsn, std::uint8_t origin);
   /// Queues every not-yet-data-acked mapping of `sf` for reinjection.
   void strand(MptcpSubflow& sf);
   void maybe_penalize();
@@ -247,6 +259,8 @@ class MptcpConnection {
   void schedule_join_retry(net::IpAddr local, net::IpAddr remote);
   void retry_join(net::IpAddr local, net::IpAddr remote);
   void clear_join_retry(net::IpAddr local, net::IpAddr remote);
+  /// Cancels the pending join retries from `local`, or every one.
+  void cancel_join_retries(std::optional<net::IpAddr> local = std::nullopt);
   /// Demote to plain single-path TCP on `sf`, resetting every other subflow.
   void enter_plain_fallback(MptcpSubflow& sf);
   [[nodiscard]] MptcpSubflow* other_live_subflow(const MptcpSubflow& sf) const;
@@ -279,7 +293,7 @@ class MptcpConnection {
   std::uint64_t remote_key_{0};
 
   std::unique_ptr<tcp::CongestionControl> cc_;
-  std::unique_ptr<PacketScheduler> scheduler_;
+  PacketScheduler scheduler_;
   std::vector<std::unique_ptr<MptcpSubflow>> subflows_;
 
   // Receive side.

@@ -2,7 +2,9 @@
 //
 // The scheduler decides which subflow new connection-level data is offered
 // to first. Scheduling is expressed as a pumping order: subflows earlier in
-// the order pull chunks from the connection first. Four strategies:
+// the order pull chunks from the connection first. PacketScheduler is one
+// value type: the strategy kind plus its sanitized per-subflow weights, held
+// by value by the connection. Four strategies:
 //
 //  minrtt     — lowest smoothed RTT first (the Linux default the paper
 //               measured).
@@ -11,7 +13,8 @@
 //               regardless of RTT. Subflows without congestion-window space
 //               are moved to the back of the order so a stalled path cannot
 //               soak up fresh chunks it can never send (it would strand
-//               them until RTO reinjection).
+//               them until RTO reinjection). It is the weighted order with
+//               every weight 1 and no share enforcement.
 //  weighted   — deficit round-robin over bytes/weight: per-subflow shares
 //               from MptcpConfig::scheduler_weights (by subflow id; missing
 //               or non-positive entries count as 1.0). Same cwnd-space
@@ -25,9 +28,7 @@
 //               reinjections in the DSN audit (they never map new space).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,25 +54,31 @@ enum class SchedulerKind { kMinRtt, kRoundRobin, kWeighted, kRedundant };
 
 class PacketScheduler {
  public:
-  virtual ~PacketScheduler() = default;
+  /// `weights` are per-subflow-id shares, kept only for kWeighted (ignored
+  /// by the other strategies). Entries that are not finite and positive
+  /// count as 1.0.
+  explicit PacketScheduler(SchedulerKind kind, const std::vector<double>& weights = {});
+
+  [[nodiscard]] SchedulerKind kind() const { return kind_; }
   /// Reorders `subflows` into pumping order (most preferred first).
-  virtual void order(std::vector<MptcpSubflow*>& subflows) = 0;
+  void order(std::vector<MptcpSubflow*>& subflows) const;
   /// Redundant dispatch: fresh chunks handed to one subflow are also
   /// duplicated onto another established subflow by the connection.
-  [[nodiscard]] virtual bool redundant() const { return false; }
-  /// The deficit weight applied to `subflow_id` (1.0 unless the scheduler
-  /// is weighted and a share was configured for that id).
-  [[nodiscard]] virtual double weight(std::uint8_t /*subflow_id*/) const { return 1.0; }
+  [[nodiscard]] bool redundant() const { return kind_ == SchedulerKind::kRedundant; }
   /// Share enforcement: a subflow ahead of its weighted byte share declines
   /// fresh data while another usable subflow lags behind its share (the
   /// pumping order alone cannot cap a path — every subflow would still fill
   /// its congestion window).
-  [[nodiscard]] virtual bool enforces_shares() const { return false; }
-};
+  [[nodiscard]] bool enforces_shares() const { return kind_ == SchedulerKind::kWeighted; }
+  /// The deficit weight applied to `subflow_id` (1.0 unless the scheduler
+  /// is weighted and a share was configured for that id).
+  [[nodiscard]] double weight(std::uint8_t subflow_id) const {
+    return subflow_id < weights_.size() ? weights_[subflow_id] : 1.0;
+  }
 
-/// `weights` are per-subflow-id shares, only meaningful for kWeighted
-/// (ignored by the other strategies).
-[[nodiscard]] std::unique_ptr<PacketScheduler> make_scheduler(
-    SchedulerKind k, const std::vector<double>& weights = {});
+ private:
+  SchedulerKind kind_;
+  std::vector<double> weights_;
+};
 
 }  // namespace mpr::core
