@@ -180,15 +180,6 @@ Session::Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg)
 }
 
 void Session::start_measurement() {
-  if (mp_client_ != nullptr && cfg_.streaming.has_value()) {
-    // Streaming workload: the session drives its own fetch cadence; the
-    // run ends when the last block lands (FetchResult stays empty).
-    stream_start_ = tb_.sim().now();
-    streaming_ = std::make_unique<app::StreamingSession>(tb_.sim(), *mp_client_, *cfg_.streaming);
-    streaming_->on_finished = [this] { done_ = true; };
-    streaming_->start();
-    return;
-  }
   const auto on_done = [this](const app::FetchResult& r) {
     fetch_ = r;
     done_ = true;
@@ -254,19 +245,8 @@ void Session::collect(RunResult& result) {
 #endif
   result.wifi_energy_j = wifi_meter_.energy_joules_total();
   result.cellular_energy_j = cell_meter_.energy_joules_total();
-  if (streaming_ != nullptr) {
-    // Streaming runs: wall time is session start -> last block delivered,
-    // and the playback-buffer telemetry rides along in sim_stats.
-    result.download_time_s =
-        done_ ? (sim.now() - stream_start_).to_seconds() : cfg_.timeout.to_seconds();
-    const app::StreamingResult& sr = streaming_->result();
-    result.sim_stats.streaming_underruns = sr.underruns;
-    result.sim_stats.streaming_underrun_s = sr.underrun_time.to_seconds();
-    result.sim_stats.streaming_missed_frames = sr.deadline_missed_frames;
-  } else {
-    result.download_time_s = done_ ? (fetch_.complete_time - fetch_.first_syn_time).to_seconds()
-                                   : cfg_.timeout.to_seconds();
-  }
+  result.download_time_s = done_ ? (fetch_.complete_time - fetch_.first_syn_time).to_seconds()
+                                 : cfg_.timeout.to_seconds();
 
   // Middlebox interference telemetry (only present when a scenario enabled
   // one on a link).

@@ -11,7 +11,6 @@
 
 #include "app/http.h"
 #include "app/ping.h"
-#include "app/streaming.h"
 #include "core/connection.h"
 #include "experiment/testbed.h"
 #include "netem/energy.h"
@@ -58,11 +57,6 @@ struct RunConfig : core::MptcpConfig {
   /// deterministic. Connection-level `sched` events switch the dispatch
   /// strategy of the client and server connections.
   netem::FaultSchedule faults;
-  /// Drive the paper's §6 streaming pattern (prefetch + periodic blocks)
-  /// instead of one bulk download; `file_bytes` is ignored. Multipath modes
-  /// only (the session runs over the MPTCP HTTP client). Underrun and
-  /// frame-deadline telemetry lands in RunResult::sim_stats.streaming_*.
-  std::optional<app::StreamingWorkload> streaming;
 };
 
 /// Per-interface aggregate (over all subflows using that interface).
@@ -167,8 +161,6 @@ class Session {
   netem::FaultInjector injector_;
   std::vector<std::unique_ptr<app::PingAgent>> pingers_;
   int warmups_pending_{0};
-  std::unique_ptr<app::StreamingSession> streaming_;
-  sim::TimePoint stream_start_{};
   app::FetchResult fetch_;
   bool done_{false};
 };

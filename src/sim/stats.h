@@ -44,15 +44,6 @@ struct SimStats {
   /// coalesces, payload corruptions).
   std::uint64_t middlebox_packets_mangled{0};
 
-  // Streaming-workload telemetry (paper §6): playback-buffer health of a
-  // run driven by the prefetch + periodic-block pattern. Zero for bulk runs.
-  /// Distinct rebuffering episodes (maximal runs of consecutive late blocks).
-  std::uint64_t streaming_underruns{0};
-  /// Total playback stall time in seconds (sum of per-block lateness).
-  double streaming_underrun_s{0.0};
-  /// Frame render deadlines missed while blocks were late.
-  std::uint64_t streaming_missed_frames{0};
-
   /// DSN-space invariant checks executed by the run's connections (0 unless
   /// the build was configured with -DMPR_AUDIT=ON). A completed MPTCP run
   /// with audit_checks == 0 under an audit build means the hooks were not
