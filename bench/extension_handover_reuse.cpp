@@ -8,9 +8,7 @@
 // exponential RTO backoff of the stalled subflow makes this delay grow
 // with the outage duration — the protocol probes the dead path ever more
 // rarely.
-#include "app/http.h"
 #include "common.h"
-#include "experiment/testbed.h"
 
 using namespace mpr;
 using namespace mpr::bench;
@@ -20,35 +18,24 @@ namespace {
 struct ReuseResult {
   bool completed{false};
   double reuse_delay_s{-1};
-  double download_s{0};
 };
 
 ReuseResult run_outage(double outage_s, std::uint64_t seed) {
-  experiment::TestbedConfig tb_cfg = testbed_for(Carrier::kAtt);
+  TestbedConfig tb_cfg = testbed_for(Carrier::kAtt);
   tb_cfg.seed = seed;
   tb_cfg.capture_trace = true;
-  experiment::Testbed tb{tb_cfg};
-  core::MptcpConfig cfg;
-  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, {},
-                              [](std::uint64_t) { return 128ull << 20; }};
-  app::MptcpHttpClient client{
-      tb.client(), cfg,
-      {experiment::kClientWifiAddr, experiment::kClientCellAddr},
-      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
-
-  const sim::TimePoint down_at = sim::TimePoint::origin() + sim::Duration::seconds(2);
-  const sim::TimePoint up_at = down_at + sim::Duration::from_seconds(outage_s);
-  tb.sim().at(down_at, [&] { tb.wifi_access().set_down(true); });
-  tb.sim().at(up_at, [&] { tb.wifi_access().set_down(false); });
-
-  bool done = false;
-  client.get(128 << 20, [&](const app::FetchResult&) { done = true; });
-  tb.sim().run_while([&] { return !done; }, tb.sim().now() + sim::Duration::seconds(1200));
+  RunConfig rc;
+  rc.file_bytes = 128 * kMB;
+  rc.ping_warmup = false;
+  rc.timeout = sim::Duration::seconds(1200);
+  const double up_s = 2.0 + outage_s;
+  rc.faults.outage(2.0, "wifi").restore(up_s, "wifi");
+  experiment::Session session{tb_cfg, rc};
 
   ReuseResult out;
-  out.completed = done;
-  out.download_s = tb.sim().now().to_seconds();
-  for (const auto& rec : tb.trace()->records()) {
+  out.completed = session.run().completed;
+  const sim::TimePoint up_at = sim::TimePoint::origin() + sim::Duration::from_seconds(up_s);
+  for (const auto& rec : session.testbed().trace()->records()) {
     if (rec.kind == net::TraceEvent::Kind::kDeliver && rec.payload > 0 &&
         rec.flow.dst.addr == experiment::kClientWifiAddr && rec.time > up_at) {
       out.reuse_delay_s = (rec.time - up_at).to_seconds();

@@ -5,9 +5,7 @@
 // Run: ./build/examples/controller_comparison
 #include <cstdio>
 
-#include "app/http.h"
-#include "experiment/carriers.h"
-#include "experiment/testbed.h"
+#include "experiment/run.h"
 
 using namespace mpr;
 using namespace mpr::experiment;
@@ -18,35 +16,17 @@ void run(core::CcKind cc) {
   TestbedConfig config;
   config.seed = 3;
   config.cellular = netem::att_lte();
-  Testbed tb{config};
+  RunConfig rc;
+  rc.cc = cc;
+  rc.file_bytes = 16ull << 20;
+  rc.ping_warmup = false;
+  const RunResult r = run_download(config, rc);
 
-  core::MptcpConfig mptcp;
-  mptcp.cc = cc;
-  app::MptcpHttpServer server{tb.server(), kHttpPort, mptcp, {},
-                              [](std::uint64_t) { return 16ull << 20; }};
-  app::MptcpHttpClient client{tb.client(), mptcp,
-                              {kClientWifiAddr, kClientCellAddr},
-                              net::SocketAddr{kServerAddr1, kHttpPort}};
-
-  bool done = false;
-  app::FetchResult result;
-  client.get(16ull << 20, [&](const app::FetchResult& r) {
-    result = r;
-    done = true;
-  });
-  tb.sim().run_while([&] { return !done; });
-
-  std::uint64_t wifi_bytes = 0;
-  std::uint64_t cell_bytes = 0;
-  for (const core::MptcpSubflow* sf : client.connection().subflows()) {
-    (sf->local().addr == kClientWifiAddr ? wifi_bytes : cell_bytes) +=
-        sf->metrics().bytes_received;
-  }
-  const double total = static_cast<double>(wifi_bytes + cell_bytes);
+  const double total = static_cast<double>(r.wifi.bytes_received + r.cellular.bytes_received);
   std::printf("  %-8s %6.2f s   wifi %4.0f%% / cell %4.0f%%\n",
-              core::to_string(cc).c_str(), result.download_time().to_seconds(),
-              100.0 * static_cast<double>(wifi_bytes) / total,
-              100.0 * static_cast<double>(cell_bytes) / total);
+              core::to_string(cc).c_str(), r.download_time_s,
+              100.0 * static_cast<double>(r.wifi.bytes_received) / total,
+              100.0 * static_cast<double>(r.cellular.bytes_received) / total);
 }
 
 }  // namespace
