@@ -398,6 +398,25 @@ TEST(AllPathsDead, ClientFailsWhenEveryInterfaceGoesAway) {
   EXPECT_LT(out.error_s, 60.0);
 }
 
+// An ifdown while the MP_CAPABLE handshake is in flight kills the only
+// subflow. No join can start before the connection is established, so the
+// ifup opens nothing and the client fails at the dead deadline, as a Linux
+// client's connect() would fail.
+TEST(AllPathsDead, IfdownDuringCapableHandshakeFailsTheConnection) {
+  FaultCase fc;
+  fc.bytes = 1ull << 20;
+  fc.seed = 5;
+  fc.deadline_s = 30;
+  fc.faults.iface_down(0.005, "wifi").iface_up(0.505, "wifi");
+  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
+  const FaultOutcome out = run_faulted(fc);
+  EXPECT_FALSE(out.completed);
+  EXPECT_TRUE(out.failed);
+  EXPECT_EQ(out.conn_delivered, 0u);
+  EXPECT_EQ(out.subflows, 1u) << "the ifup must open no subflow";
+  EXPECT_NEAR(out.error_s, 5.005, 1e-6);  // ifdown + all_paths_dead_timeout
+}
+
 TEST(AllPathsDead, SenderFailsDuringEndlessBlackout) {
   FaultCase fc;
   fc.bytes = 8ull << 20;
