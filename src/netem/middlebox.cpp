@@ -37,7 +37,7 @@ void Middlebox::reset_behaviour() {
 }
 
 void Middlebox::process(net::PacketPtr p, Dir& d) {
-  ++stats_.packets_seen;
+  ++tally(*p).packets_seen;
   strip_options(*p);
   if (nat_offset_ != 0) rewrite_nat(*p, d);
   maybe_corrupt(*p, d);
@@ -55,7 +55,7 @@ void Middlebox::strip_options(net::Packet& p) {
   const auto drop = [this, &p](net::TcpSegment::OptBit bit, auto clear) {
     if (p.tcp.has_opt(bit)) {
       (p.tcp.*clear)();
-      ++stats_.options_stripped;
+      ++tally(p).options_stripped;
     }
   };
   using Seg = net::TcpSegment;
@@ -96,14 +96,14 @@ void Middlebox::rewrite_nat(net::Packet& p, const Dir& d) {
       b.end -= std::min(b.end, nat_offset_);
     }
   }
-  ++stats_.seq_rewrites;
+  ++tally(p).seq_rewrites;
 }
 
 void Middlebox::maybe_corrupt(net::Packet& p, Dir& d) {
   if (corrupt_every_ == 0 || p.payload_bytes == 0) return;
   if (++d.corrupt_seen < corrupt_every_) return;
   d.corrupt_seen = 0;
-  ++stats_.payloads_corrupted;
+  ++tally(p).payloads_corrupted;
   // Payload is a byte count in this model, so corruption shows up as a
   // DSS-checksum mismatch when checksums are on and passes silently when
   // they are off — exactly the detectability RFC 6824 §3.3 buys.
@@ -129,7 +129,7 @@ void Middlebox::coalesce_or_emit(net::PacketPtr p, Dir& d) {
       d.held->payload_bytes += p->payload_bytes;
       d.held->tcp.ack = std::max(d.held->tcp.ack, p->tcp.ack);
       d.held->tcp.wnd = p->tcp.wnd;
-      ++stats_.segments_coalesced;
+      ++tally(*p).segments_coalesced;
       p.reset();
       flush(d);
       return;
@@ -160,7 +160,7 @@ void Middlebox::emit(net::PacketPtr p, Dir& d) {
   if (split_every_ > 0 && p->payload_bytes >= 2 && !p->tcp.has(net::kFlagSyn) &&
       !p->tcp.has(net::kFlagRst) && ++d.split_seen >= split_every_) {
     d.split_seen = 0;
-    ++stats_.segments_split;
+    ++tally(*p).segments_split;
     const std::uint32_t first_len = p->payload_bytes / 2;
     net::PacketPtr rest = sim_.service<net::PacketPool>().acquire();
     rest->uid = p->uid;

@@ -11,6 +11,12 @@
 // Everything is deterministic — behaviour is driven by counters and
 // scripted scenario events (`0 wifi mbox strip_syn`), never by RNG draws —
 // so runs stay bit-identical across MPR_JOBS settings.
+//
+// Cross-traffic phantoms (net::Packet::cross_traffic) reach the same link
+// ingress and are mangled like the endpoints' packets: they advance the
+// every-n-th split/corrupt cadence, and a split phantom adds a packet to the
+// queue. They are counted apart, so stats() describes only what happened
+// to the endpoints' traffic.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +78,10 @@ class Middlebox {
   /// Scenario action "mbox off": back to a transparent wire.
   void reset_behaviour();
 
+  /// What the middlebox did to the endpoints' packets.
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// What it did to cross-traffic phantoms.
+  [[nodiscard]] const Stats& cross_traffic_stats() const { return cross_traffic_stats_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
@@ -86,6 +95,8 @@ class Middlebox {
     std::uint32_t corrupt_seen{0};
   };
 
+  /// The counters `p` is tallied in.
+  Stats& tally(const net::Packet& p) { return p.cross_traffic ? cross_traffic_stats_ : stats_; }
   void process(net::PacketPtr p, Dir& d);
   void strip_options(net::Packet& p);
   void rewrite_nat(net::Packet& p, const Dir& d);
@@ -104,6 +115,7 @@ class Middlebox {
   Dir up_{};
   Dir down_{};
   Stats stats_;
+  Stats cross_traffic_stats_;
 };
 
 }  // namespace mpr::netem

@@ -38,7 +38,8 @@ struct SimStats {
   std::uint64_t mp_fail_events{0};
   /// MP_JOIN subflows refused (stripped handshake or post-fallback join).
   std::uint64_t join_refusals{0};
-  /// MPTCP options removed in transit by middlebox emulation.
+  /// MPTCP options removed in transit by middlebox emulation. Both
+  /// middlebox counters count the endpoints' packets, not cross-traffic.
   std::uint64_t middlebox_options_stripped{0};
   /// Packets otherwise mangled by middleboxes (NAT seq rewrites, splits,
   /// coalesces, payload corruptions).

@@ -584,5 +584,32 @@ TEST(MboxDeterminism, OffMiddleboxMatchesCleanRun) {
   EXPECT_EQ(a.cellular.data_packets_sent, b.cellular.data_packets_sent);
 }
 
+// ---------------------------------------------------------------------------
+// The counters describe the endpoints' packets only. Cross-traffic phantoms
+// pass the same link ingress and are rewritten too, but counted apart, so a
+// NAT middlebox rewrites exactly the packets sent from or to its interface.
+
+TEST(MboxCounters, CountOnlyTheEndpointsPackets) {
+  TestbedConfig tb;
+  tb.seed = 9;
+  tb.wifi = netem::wifi_hotspot();
+  tb.capture_trace = true;
+  experiment::Session session{
+      tb, mbox_run(FaultSchedule{}.middlebox(0.0, "wifi", "nat_seq", 1000), 1ull << 20)};
+  ASSERT_TRUE(session.run().completed);
+  std::uint64_t wifi_sends = 0;
+  for (const analysis::TraceRecord& rec : session.testbed().trace()->records()) {
+    if (rec.kind == net::TraceEvent::Kind::kSend &&
+        (rec.flow.src.addr == experiment::kClientWifiAddr ||
+         rec.flow.dst.addr == experiment::kClientWifiAddr)) {
+      ++wifi_sends;
+    }
+  }
+  const netem::Middlebox& mbox = *session.testbed().wifi_access().middlebox_if();
+  EXPECT_GT(wifi_sends, 0u);
+  EXPECT_EQ(mbox.stats().seq_rewrites, wifi_sends);
+  EXPECT_GT(mbox.cross_traffic_stats().seq_rewrites, 0u);
+}
+
 }  // namespace
 }  // namespace mpr
