@@ -162,9 +162,12 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
     }
     // Drain every wheel slot that could start at or before the earliest
     // runnable instant. Entries land in the heap (or die, if tombstoned);
-    // the next pass of the loop re-evaluates the new top.
-    std::int64_t target = std::min(top_ns, limit_ns);
-    if (target == kNoWheelEvent) target = wheel_next_due_ns_;
+    // the next pass of the loop re-evaluates the new top. With the heap
+    // empty, that instant is the wheel's own next slot, not `limit_ns`:
+    // draining to a far deadline would move the cursor out to it, and every
+    // timer armed after that would skip the wheel and leave its tombstone
+    // in the heap.
+    const std::int64_t target = heap_.empty() ? wheel_next_due_ns_ : std::min(top_ns, limit_ns);
     wheel_.advance(TimePoint::from_ns(target), [this](const TimingWheel::Entry& e) {
       const std::uint32_t slot = slot_of(e.seq_slot);
       if (meta_[slot].live != 0) {

@@ -103,6 +103,11 @@ class EventQueue {
   /// Number of live pending events.
   [[nodiscard]] std::size_t pending() const { return live_count_; }
 
+  /// Records in the near-term heap, cancelled ones not yet swept included.
+  /// Timers park in the wheel, so this follows the packets in flight, not
+  /// the timer churn (the wheel-routing tests read it).
+  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+
   /// Total events executed so far (for instrumentation and benchmarks).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 

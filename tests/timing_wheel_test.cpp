@@ -1,7 +1,7 @@
 // Timing-wheel unit tests: cascade boundaries, the no-late-handover
 // invariant under randomized stress, far-future clamping, and — through the
-// EventQueue — cancel-after-cascade and same-instant FIFO equivalence with
-// a reference scheduler model.
+// EventQueue — cancel-after-cascade, wheel routing after a bounded step, and
+// same-instant FIFO equivalence with a reference scheduler model.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -230,6 +230,24 @@ TEST(EventQueueWheelTest, SameInstantFifoAcrossWheelAndHeap) {
   });
   q.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueWheelTest, BoundedStepOverAnEmptyHeapKeepsLaterTimersInTheWheel) {
+  // With only a wheel timer pending, a step bounded by a far deadline (a
+  // run's timeout) must open the wheel's next slot, not drain the wheel up
+  // to the bound. A cursor moved out to the bound would send every timer
+  // armed later to the heap, where each cancelled one stays as a tombstone
+  // until its due time.
+  EventQueue q;
+  bool ran = false;
+  q.schedule_after(Duration::seconds(1), [&] { ran = true; });
+  ASSERT_TRUE(q.step(TimePoint::from_ns(Duration::seconds(7200).ns())));
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(q.now().ns(), Duration::seconds(1).ns());
+  const EventId rto = q.schedule_after(Duration::millis(200), [] {});
+  ASSERT_TRUE(q.cancel(rto));
+  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueWheelTest, WheelTimerCancelRearmChurn) {
