@@ -168,14 +168,19 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
     // timer armed after that would skip the wheel and leave its tombstone
     // in the heap.
     const std::int64_t target = heap_.empty() ? wheel_next_due_ns_ : std::min(top_ns, limit_ns);
-    wheel_.advance(TimePoint::from_ns(target), [this](const TimingWheel::Entry& e) {
-      const std::uint32_t slot = slot_of(e.seq_slot);
-      if (meta_[slot].live != 0) {
-        heap_push(HeapRec{e.when.ns(), e.seq_slot});  // already the packed word
-      } else {
-        release_slot(slot);  // cancelled while parked: never touches the heap
-      }
-    });
+    // A cancelled timer leaves the wheel at the first slot it reaches, so
+    // its tombstone is not carried down a level.
+    wheel_.advance(
+        TimePoint::from_ns(target),
+        [this](const TimingWheel::Entry& e) {
+          const std::uint32_t slot = slot_of(e.seq_slot);
+          if (meta_[slot].live != 0) {
+            heap_push(HeapRec{e.when.ns(), e.seq_slot});  // already the packed word
+          } else {
+            release_slot(slot);  // cancelled while parked: never touches the heap
+          }
+        },
+        [this](const TimingWheel::Entry& e) { return meta_[slot_of(e.seq_slot)].live != 0; });
     wheel_next_due_ns_ = wheel_.next_due().ns();
   }
 }

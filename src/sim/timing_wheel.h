@@ -61,19 +61,25 @@ class TimingWheel {
   /// min_insert_ns()).
   void insert(const Entry& e);
 
+  /// advance()'s default `keep`: every cascading entry is re-bucketed.
+  struct KeepAll {
+    bool operator()(const Entry& /*e*/) const { return true; }
+  };
+
   /// Opens every slot whose start time is <= `t`: level-0 entries go to
   /// `sink`, higher-level slots cascade down (re-bucketed relative to the
-  /// new cursor; entries already due are sunk directly). The cursor ends
-  /// past tick(t), so the wheel is driven purely by the event clock —
-  /// there is no periodic tick.
-  template <typename Sink>
-  void advance(TimePoint t, Sink&& sink) {
+  /// new cursor; entries already due are sunk directly). A cascading entry
+  /// that `keep` refuses (a cancelled timer) is sunk at once rather than
+  /// re-bucketed. The cursor ends past tick(t), so the wheel is driven
+  /// purely by the event clock — there is no periodic tick.
+  template <typename Sink, typename Keep = KeepAll>
+  void advance(TimePoint t, Sink&& sink, Keep&& keep = KeepAll{}) {
     const std::int64_t target = to_tick(t.ns());
     for (;;) {
       int level = -1;
       const std::int64_t start = earliest_slot(level);
       if (level < 0 || start > target) break;
-      open_slot(level, start, target, sink);
+      open_slot(level, start, target, sink, keep);
     }
     if (cursor_ <= target) cursor_ = target + 1;
     recompute_next_due();
@@ -110,8 +116,8 @@ class TimingWheel {
   [[nodiscard]] std::int64_t earliest_slot(int& level) const;
 
   /// Expires/cascades the level-`level` slot starting at `start` ticks.
-  template <typename Sink>
-  void open_slot(int level, std::int64_t start, std::int64_t target, Sink&& sink) {
+  template <typename Sink, typename Keep>
+  void open_slot(int level, std::int64_t start, std::int64_t target, Sink&& sink, Keep&& keep) {
     const int index = static_cast<int>((start >> (kSlotBits * level)) & (kSlots - 1));
     FlatVec<Entry>& bucket = buckets_[level][index];
     occupied_[level] &= ~(std::uint64_t{1} << index);
@@ -124,7 +130,7 @@ class TimingWheel {
     scratch_.swap(bucket);
     size_ -= scratch_.size();
     for (const Entry& e : scratch_) {
-      if (level == 0 || to_tick(e.when.ns()) <= target) {
+      if (level == 0 || to_tick(e.when.ns()) <= target || !keep(e)) {
         sink(e);
       } else {
         insert(e);  // cascade: lands in a lower level (or earlier slot)

@@ -96,6 +96,24 @@ TEST(TimingWheelTest, MinInsertFloorMovesWithAdvance) {
   EXPECT_EQ(out[0], 7u);
 }
 
+TEST(TimingWheelTest, CascadeSinksTheEntriesKeepRefuses) {
+  TimingWheel w;
+  // Both 100 ticks out: level 1, in the slot that starts at tick 64.
+  // Opening that slot cascades them; the entry `keep` refuses goes to the
+  // sink there, the other drops to level 0 and arrives when due.
+  w.insert(entry_at(100 * kTick, 1));
+  w.insert(entry_at(100 * kTick, 2));
+  std::vector<std::uint64_t> sunk;
+  w.advance(
+      TimePoint::from_ns(64 * kTick),
+      [&](const TimingWheel::Entry& e) { sunk.push_back(e.seq_slot); },
+      [](const TimingWheel::Entry& e) { return e.seq_slot != 2; });
+  EXPECT_EQ(sunk, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(w.size(), 1u);
+  EXPECT_TRUE(drain_to(w, 99 * kTick).empty());
+  EXPECT_EQ(drain_to(w, 100 * kTick), (std::vector<std::uint64_t>{1}));
+}
+
 TEST(TimingWheelTest, FarFutureBeyondHorizonEventuallyDelivers) {
   TimingWheel w;
   // ~20 days: past the top level's span, so the entry is clamped and must
