@@ -61,19 +61,14 @@ class TimingWheel {
   /// min_insert_ns()).
   void insert(const Entry& e);
 
-  /// advance()'s default `keep`: every cascading entry is re-bucketed.
-  struct KeepAll {
-    bool operator()(const Entry& /*e*/) const { return true; }
-  };
-
   /// Opens every slot whose start time is <= `t`: level-0 entries go to
   /// `sink`, higher-level slots cascade down (re-bucketed relative to the
   /// new cursor; entries already due are sunk directly). A cascading entry
   /// that `keep` refuses (a cancelled timer) is sunk at once rather than
   /// re-bucketed. The cursor ends past tick(t), so the wheel is driven
   /// purely by the event clock — there is no periodic tick.
-  template <typename Sink, typename Keep = KeepAll>
-  void advance(TimePoint t, Sink&& sink, Keep&& keep = KeepAll{}) {
+  template <typename Sink, typename Keep>
+  void advance(TimePoint t, Sink&& sink, Keep&& keep) {
     const std::int64_t target = to_tick(t.ns());
     for (;;) {
       int level = -1;

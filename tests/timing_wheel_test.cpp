@@ -28,8 +28,9 @@ TimingWheel::Entry entry_at(std::int64_t ns, std::uint64_t seq) {
 
 std::vector<std::uint64_t> drain_to(TimingWheel& w, std::int64_t ns) {
   std::vector<std::uint64_t> out;
-  w.advance(TimePoint::from_ns(ns),
-            [&](const TimingWheel::Entry& e) { out.push_back(e.seq_slot); });
+  w.advance(
+      TimePoint::from_ns(ns), [&](const TimingWheel::Entry& e) { out.push_back(e.seq_slot); },
+      [](const auto&) { return true; });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -159,12 +160,15 @@ TEST(TimingWheelTest, RandomizedStressNeverHandsOverLate) {
       ++next_seq;
     }
     now += static_cast<std::int64_t>(rng() % (std::uint64_t{1} << (rng() % 40)));
-    w.advance(TimePoint::from_ns(now), [&](const TimingWheel::Entry& e) {
-      const auto it = parked.find(e.seq_slot);
-      ASSERT_TRUE(it != parked.end()) << "unknown or duplicate entry " << e.seq_slot;
-      EXPECT_EQ(it->second, e.when.ns());
-      parked.erase(it);
-    });
+    w.advance(
+        TimePoint::from_ns(now),
+        [&](const TimingWheel::Entry& e) {
+          const auto it = parked.find(e.seq_slot);
+          ASSERT_TRUE(it != parked.end()) << "unknown or duplicate entry " << e.seq_slot;
+          EXPECT_EQ(it->second, e.when.ns());
+          parked.erase(it);
+        },
+        [](const auto&) { return true; });
     EXPECT_EQ(w.size(), parked.size());
     for (const auto& [seq, due] : parked) {
       ASSERT_GT(due, now) << "entry " << seq << " retained past its due time";
