@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
 
 namespace mpr::core {
 
@@ -24,14 +25,30 @@ PacketScheduler::PacketScheduler(SchedulerKind kind, const std::vector<double>& 
   }
 }
 
-void PacketScheduler::order(std::vector<MptcpSubflow*>& subflows) const {
+namespace {
+
+// Stable insertion sort: the same permutation std::stable_sort gives for the
+// same comparator, without its temporary buffer (a heap allocation on every
+// call). The spans here hold one entry per established subflow.
+template <typename Less>
+void stable_insertion_sort(std::span<MptcpSubflow*> v, Less less) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    MptcpSubflow* const x = v[i];
+    std::size_t j = i;
+    for (; j > 0 && less(x, v[j - 1]); --j) v[j] = v[j - 1];
+    v[j] = x;
+  }
+}
+
+}  // namespace
+
+void PacketScheduler::order(std::span<MptcpSubflow*> subflows) const {
   switch (kind_) {
     case SchedulerKind::kMinRtt:
     case SchedulerKind::kRedundant:
-      std::stable_sort(subflows.begin(), subflows.end(),
-                       [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                         return a->srtt() < b->srtt();
-                       });
+      stable_insertion_sort(subflows, [](const MptcpSubflow* a, const MptcpSubflow* b) {
+        return a->srtt() < b->srtt();
+      });
       return;
     case SchedulerKind::kRoundRobin:
     case SchedulerKind::kWeighted:
@@ -41,14 +58,13 @@ void PacketScheduler::order(std::vector<MptcpSubflow*>& subflows) const {
       // after loss marking) would otherwise keep the lowest deficit, soak up
       // the front of every round and strand fresh chunks until RTO
       // reinjection.
-      std::stable_sort(subflows.begin(), subflows.end(),
-                       [this](const MptcpSubflow* a, const MptcpSubflow* b) {
-                         if (a->has_window_space() != b->has_window_space()) {
-                           return a->has_window_space();
-                         }
-                         return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
-                                static_cast<double>(b->scheduled_bytes()) / weight(b->id());
-                       });
+      stable_insertion_sort(subflows, [this](const MptcpSubflow* a, const MptcpSubflow* b) {
+        if (a->has_window_space() != b->has_window_space()) {
+          return a->has_window_space();
+        }
+        return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
+               static_cast<double>(b->scheduled_bytes()) / weight(b->id());
+      });
       return;
   }
 }
@@ -285,17 +301,21 @@ void MptcpConnection::on_data_fin_signal(std::uint64_t fin_dsn) {
 void MptcpConnection::pump_all() {
   if (pumping_all_) return;
   pumping_all_ = true;
-  std::vector<MptcpSubflow*> order = subflows();
-  std::erase_if(order, [](const MptcpSubflow* sf) {
-    return sf->state() != tcp::TcpState::kEstablished &&
-           sf->state() != tcp::TcpState::kCloseWait;
-  });
-  scheduler_.order(order);
+  // Refilled in place: the pumping_all_ guard rules out a nested pump_all
+  // overwriting the order this one is still walking.
+  pump_order_.clear();
+  for (const auto& sf : subflows_) {
+    if (sf->state() == tcp::TcpState::kEstablished ||
+        sf->state() == tcp::TcpState::kCloseWait) {
+      pump_order_.push_back(sf.get());
+    }
+  }
+  scheduler_.order(pump_order_);
 #if MPR_AUDIT
   {
     std::vector<check::SchedEntry> entries;
-    entries.reserve(order.size());
-    for (const MptcpSubflow* sf : order) {
+    entries.reserve(pump_order_.size());
+    for (const MptcpSubflow* sf : pump_order_) {
       entries.push_back(check::SchedEntry{
           sf->has_window_space(), sf->srtt().ns(),
           static_cast<double>(sf->scheduled_bytes()) / scheduler_.weight(sf->id())});
@@ -308,7 +328,7 @@ void MptcpConnection::pump_all() {
                                 host_.sim().now().ns());
   }
 #endif
-  for (MptcpSubflow* sf : order) sf->pump();
+  for (MptcpSubflow* sf : pump_order_) sf->pump();
   pumping_all_ = false;
 }
 

@@ -372,6 +372,8 @@ class MptcpConnection {
   std::unordered_map<const MptcpSubflow*, sim::TimePoint> last_penalty_;
   std::uint64_t penalizations_{0};
   bool pumping_all_{false};
+  /// pump_all's established subflows in pumping order, refilled per call.
+  sim::FlatVec<MptcpSubflow*> pump_order_;
 
 #if MPR_AUDIT
   /// DSN-space auditor; owned by the Simulation's check::Auditor service so

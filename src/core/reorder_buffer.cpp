@@ -58,60 +58,71 @@ bool ReorderBuffer::insert(std::uint64_t dsn, std::uint32_t len, sim::TimePoint 
 bool ReorderBuffer::insert_impl(std::uint64_t dsn, std::uint32_t len, sim::TimePoint arrival,
                                 std::uint8_t subflow_id) {
   if (len == 0) return true;
-  if (dsn + len <= rcv_nxt_ || held_.contains(dsn)) {
+  if (dsn + len <= rcv_nxt_) {
     ++duplicates_;
+    return true;
+  }
+
+  if (dsn > rcv_nxt_) {
+    // Out of order: hold it, unless a segment at this DSN is already held.
+    // Every held DSN is above rcv_nxt_, so only this branch can find one.
+    auto at = held_.end();
+    if (!held_.empty() && held_.back().dsn >= dsn) {
+      at = std::lower_bound(held_.begin(), held_.end(), dsn,
+                            [](const Held& h, std::uint64_t d) { return h.dsn < d; });
+      if (at->dsn == dsn) {
+        ++duplicates_;
+        return true;
+      }
+    }
+    if (buffered_bytes_ + len > capacity_) return false;
+    const Held h{dsn, arrival, len, subflow_id};
+    if (at == held_.end()) {
+      held_.push_back(h);
+    } else {
+      held_.insert(at, h);
+    }
+    buffered_bytes_ += len;
+    max_buffered_ = std::max(max_buffered_, buffered_bytes_);
     return true;
   }
 
   // Partial overlap with already-delivered data (a reinjection or
   // retransmission straddling rcv_nxt): trim the delivered prefix and
   // process the rest. Without the trim the segment is neither a duplicate
-  // nor drainable (held_ keys never match rcv_nxt_) and would occupy buffer
+  // nor drainable (held DSNs never match rcv_nxt_) and would occupy buffer
   // bytes forever, shrinking the advertised window.
   if (dsn < rcv_nxt_) {
     const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - dsn);
     ++duplicates_;  // count the partially-duplicate arrival
     dsn = rcv_nxt_;
     len -= overlap;
-    if (held_.contains(dsn)) return true;
   }
 
-  if (dsn == rcv_nxt_) {
-    // In-order on arrival: zero out-of-order delay.
-    samples_.push_back(OfoSample{sim::Duration::zero(), subflow_id, len});
-    delivered_bytes_ += len;
-    rcv_nxt_ += len;
-    if (on_deliver) on_deliver(dsn, len);
-    // Drain anything this unblocked. Held segments may partially overlap
-    // what was just delivered (differently-chunked retransmissions); trim
-    // the delivered prefix rather than stalling on an inexact match.
-    while (!held_.empty()) {
-      auto it = held_.begin();
-      if (it->first > rcv_nxt_) break;
-      const std::uint64_t held_dsn = it->first;
-      const Held h = it->second;
-      buffered_bytes_ -= h.len;
-      held_.erase(it);
-      if (held_dsn + h.len <= rcv_nxt_) {
-        ++duplicates_;  // fully covered by what was delivered meanwhile
-        continue;
-      }
-      const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - held_dsn);
-      const std::uint32_t fresh = h.len - overlap;
-      samples_.push_back(OfoSample{arrival - h.arrival, h.subflow_id, fresh});
-      delivered_bytes_ += fresh;
-      const std::uint64_t deliver_at = rcv_nxt_;
-      rcv_nxt_ += fresh;
-      if (on_deliver) on_deliver(deliver_at, fresh);
+  // In-order on arrival: zero out-of-order delay.
+  samples_.push_back(OfoSample{sim::Duration::zero(), subflow_id, len});
+  delivered_bytes_ += len;
+  rcv_nxt_ += len;
+  if (on_deliver) on_deliver(dsn, len);
+  // Drain anything this unblocked. Held segments may partially overlap
+  // what was just delivered (differently-chunked retransmissions); trim
+  // the delivered prefix rather than stalling on an inexact match.
+  while (!held_.empty() && held_.front().dsn <= rcv_nxt_) {
+    const Held h = held_.front();
+    held_.pop_front();
+    buffered_bytes_ -= h.len;
+    if (h.dsn + h.len <= rcv_nxt_) {
+      ++duplicates_;  // fully covered by what was delivered meanwhile
+      continue;
     }
-    return true;
+    const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - h.dsn);
+    const std::uint32_t fresh = h.len - overlap;
+    samples_.push_back(OfoSample{arrival - h.arrival, h.subflow_id, fresh});
+    delivered_bytes_ += fresh;
+    const std::uint64_t deliver_at = rcv_nxt_;
+    rcv_nxt_ += fresh;
+    if (on_deliver) on_deliver(deliver_at, fresh);
   }
-
-  // Out of order: hold it.
-  if (buffered_bytes_ + len > capacity_) return false;
-  held_.emplace(dsn, Held{len, arrival, subflow_id});
-  buffered_bytes_ += len;
-  max_buffered_ = std::max(max_buffered_, buffered_bytes_);
   return true;
 }
 

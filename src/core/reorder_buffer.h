@@ -10,9 +10,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <vector>
 
+#include "sim/flat_vec.h"
 #include "sim/time.h"
 
 namespace mpr::core {
@@ -48,7 +47,7 @@ class ReorderBuffer {
   [[nodiscard]] std::uint64_t duplicate_packets() const { return duplicates_; }
 
   /// One sample per delivered packet, in delivery order.
-  [[nodiscard]] const std::vector<OfoSample>& ofo_samples() const { return samples_; }
+  [[nodiscard]] const sim::FlatVec<OfoSample>& ofo_samples() const { return samples_; }
 
   /// Peak buffer occupancy observed (buffer-sizing ablation).
   [[nodiscard]] std::uint64_t max_buffered_bytes() const { return max_buffered_; }
@@ -58,23 +57,26 @@ class ReorderBuffer {
                    std::uint8_t subflow_id);
 
   struct Held {
-    std::uint32_t len{0};
+    std::uint64_t dsn{0};
     sim::TimePoint arrival;
+    std::uint32_t len{0};
     std::uint8_t subflow_id{0};
   };
 
   std::uint64_t capacity_;
   std::uint64_t rcv_nxt_{0};
-  // Ordered in-order drain by DSN. Population is bounded by the receive
-  // window and only grows when paths diverge; candidate for a SeqFlatMap
-  // (tcp/seg_ring.h) if many-flow profiles show it hot.
-  // mpr-lint: allow(ordered-container)
-  std::map<std::uint64_t, Held> held_;
+  // Held segments, sorted by DSN; every held DSN is above rcv_nxt_ (the
+  // drain pops each one the in-order edge reaches). Arrivals past the back
+  // append; the rest are placed by binary search and shift the tail up;
+  // the drain pops the front. Measured over the perfbench workloads and the
+  // paper campaigns, 85-100% of holds append, a mid-insert shifts 16-27
+  // records on average, and the largest shift seen was 2 854 records.
+  sim::FlatDeque<Held> held_;
   std::uint64_t buffered_bytes_{0};
   std::uint64_t max_buffered_{0};
   std::uint64_t delivered_bytes_{0};
   std::uint64_t duplicates_{0};
-  std::vector<OfoSample> samples_;
+  sim::FlatVec<OfoSample> samples_;
 };
 
 }  // namespace mpr::core

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,9 @@ class PacketScheduler {
   explicit PacketScheduler(SchedulerKind kind, const std::vector<double>& weights = {});
 
   [[nodiscard]] SchedulerKind kind() const { return kind_; }
-  /// Reorders `subflows` into pumping order (most preferred first).
-  void order(std::vector<MptcpSubflow*>& subflows) const;
+  /// Reorders `subflows` into pumping order (most preferred first). Stable:
+  /// subflows that compare equal keep their relative order.
+  void order(std::span<MptcpSubflow*> subflows) const;
   /// Redundant dispatch: fresh chunks handed to one subflow are also
   /// duplicated onto another established subflow by the connection.
   [[nodiscard]] bool redundant() const { return kind_ == SchedulerKind::kRedundant; }

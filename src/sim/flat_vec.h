@@ -24,10 +24,12 @@
 //                disciplines holding PacketPtr). Replaces std::deque,
 //                whose block map allocates on push and frees on pop right
 //                in the middle of enqueue/dequeue.
-//   FlatDeque<T> deque of trivially-copyable records supporting iteration
-//                and interior erase (the MPTCP reinjection queues). A
-//                FlatVec window [head, size): pop_front advances head and
-//                compacts lazily, erase shifts the contiguous tail.
+//   FlatDeque<T> deque of trivially-copyable records supporting iteration,
+//                interior erase and interior insert: the MPTCP reinjection
+//                queues, and the connection-level reorder buffer, which
+//                keeps its held segments DSN-sorted in one. A FlatVec
+//                window [head, size): pop_front advances head and compacts
+//                lazily; erase and insert shift the contiguous tail.
 #pragma once
 
 #include <algorithm>
@@ -271,12 +273,14 @@ class FlatDeque {
 
  public:
   using iterator = T*;
+  using const_iterator = const T*;
 
   [[nodiscard]] std::size_t size() const { return vec_.size() - head_; }
   [[nodiscard]] bool empty() const { return head_ == vec_.size(); }
 
   [[nodiscard]] T& front() { return vec_[head_]; }
   [[nodiscard]] const T& front() const { return vec_[head_]; }
+  [[nodiscard]] const T& back() const { return vec_.back(); }
 
   void push_back(const T& v) { vec_.push_back(v); }
 
@@ -297,6 +301,8 @@ class FlatDeque {
 
   iterator begin() { return vec_.begin() + head_; }
   iterator end() { return vec_.end(); }
+  const_iterator begin() const { return vec_.begin() + head_; }
+  const_iterator end() const { return vec_.end(); }
 
   /// Removes *it; returns an iterator to the element after it. Shifts the
   /// tail left (the windows here hold a handful of records).
@@ -305,6 +311,15 @@ class FlatDeque {
     std::copy(it + 1, end(), it);
     vec_.pop_back();
     return it;
+  }
+
+  /// Inserts `v` before `it`; returns an iterator to it. Shifts the tail
+  /// right, and grows (FlatVec's cold path) when the storage is full.
+  iterator insert(iterator it, const T& v) {
+    assert(begin() <= it && it <= end());
+    const auto i = static_cast<std::size_t>(it - vec_.begin());
+    vec_.insert_at(i, v);
+    return vec_.begin() + i;
   }
 
   void clear() {
