@@ -1,8 +1,9 @@
 // Heap-allocation telemetry for the benches.
 //
 // alloc_interposer.cpp replaces the global operator new/delete with
-// counting forwarders. It is compiled only into bench binaries (see
-// bench/CMakeLists.txt) — the library code and tests run with the normal
+// counting forwarders. It is compiled only into the bench binaries (see
+// bench/CMakeLists.txt) and perf_test, whose steady-state allocation pin
+// reads it — the library code and the other tests run with the normal
 // allocator — and costs one relaxed atomic increment per allocation.
 //
 // The [perf] trailer divides the process-wide count by events executed:

@@ -3,13 +3,19 @@
 // data-level transfer, scheduler behaviour, penalization and reinjection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "app/http.h"
 #include "core/connection.h"
 #include "core/reorder_buffer.h"
 #include "core/server.h"
 #include "experiment/testbed.h"
+#include "sim/rng.h"
 
 namespace mpr::core {
 namespace {
@@ -157,6 +163,325 @@ TEST(ReorderBuffer, HeldSegmentFullyCoveredByDeliveryIsDropped) {
   EXPECT_EQ(rb.delivered_bytes(), 1500u);
   EXPECT_EQ(rb.buffered_bytes(), 0u);
   EXPECT_EQ(rb.duplicate_packets(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// Differential test: ReorderBuffer against a reference copy of the
+// std::map-keyed algorithm it replaced, fed identical arrivals.
+
+class MapReorderBuffer {
+ public:
+  explicit MapReorderBuffer(std::uint64_t capacity) : capacity_{capacity} {}
+
+  std::function<void(std::uint64_t, std::uint32_t)> on_deliver;
+
+  bool insert(std::uint64_t dsn, std::uint32_t len, sim::TimePoint arrival,
+              std::uint8_t subflow_id) {
+    if (len == 0) return true;
+    if (dsn + len <= rcv_nxt_ || held_.contains(dsn)) {
+      ++duplicates_;
+      return true;
+    }
+    if (dsn < rcv_nxt_) {
+      const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - dsn);
+      ++duplicates_;
+      dsn = rcv_nxt_;
+      len -= overlap;
+      if (held_.contains(dsn)) return true;
+    }
+    if (dsn == rcv_nxt_) {
+      samples_.push_back(OfoSample{sim::Duration::zero(), subflow_id, len});
+      rcv_nxt_ += len;
+      if (on_deliver) on_deliver(dsn, len);
+      while (!held_.empty()) {
+        auto it = held_.begin();
+        if (it->first > rcv_nxt_) break;
+        const std::uint64_t held_dsn = it->first;
+        const Held h = it->second;
+        buffered_bytes_ -= h.len;
+        held_.erase(it);
+        if (held_dsn + h.len <= rcv_nxt_) {
+          ++duplicates_;
+          continue;
+        }
+        const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - held_dsn);
+        const std::uint32_t fresh = h.len - overlap;
+        samples_.push_back(OfoSample{arrival - h.arrival, h.subflow_id, fresh});
+        const std::uint64_t deliver_at = rcv_nxt_;
+        rcv_nxt_ += fresh;
+        if (on_deliver) on_deliver(deliver_at, fresh);
+      }
+      return true;
+    }
+    if (buffered_bytes_ + len > capacity_) return false;
+    held_.emplace(dsn, Held{len, arrival, subflow_id});
+    buffered_bytes_ += len;
+    max_buffered_ = std::max(max_buffered_, buffered_bytes_);
+    return true;
+  }
+
+  [[nodiscard]] std::uint64_t rcv_nxt() const { return rcv_nxt_; }
+  [[nodiscard]] std::uint64_t buffered_bytes() const { return buffered_bytes_; }
+  [[nodiscard]] std::uint64_t window() const {
+    return capacity_ > buffered_bytes_ ? capacity_ - buffered_bytes_ : 0;
+  }
+  [[nodiscard]] std::uint64_t duplicate_packets() const { return duplicates_; }
+  [[nodiscard]] std::uint64_t max_buffered_bytes() const { return max_buffered_; }
+  [[nodiscard]] const std::vector<OfoSample>& ofo_samples() const { return samples_; }
+  /// Highest held DSN, or nullopt when nothing is held.
+  [[nodiscard]] std::optional<std::uint64_t> back_dsn() const {
+    if (held_.empty()) return std::nullopt;
+    return held_.rbegin()->first;
+  }
+
+ private:
+  struct Held {
+    std::uint32_t len{0};
+    sim::TimePoint arrival;
+    std::uint8_t subflow_id{0};
+  };
+  std::uint64_t capacity_;
+  std::uint64_t rcv_nxt_{0};
+  std::map<std::uint64_t, Held> held_;
+  std::uint64_t buffered_bytes_{0};
+  std::uint64_t max_buffered_{0};
+  std::uint64_t duplicates_{0};
+  std::vector<OfoSample> samples_;
+};
+
+struct Arrival {
+  std::uint64_t dsn{0};
+  std::uint32_t len{0};
+  std::int64_t at_us{0};
+  std::uint8_t subflow{0};
+};
+
+/// Feeds the same arrivals to a ReorderBuffer and to the map reference and
+/// compares everything observable after every insert.
+class ReorderDiff {
+ public:
+  explicit ReorderDiff(std::uint64_t capacity) : flat_{capacity}, ref_{capacity} {
+    flat_.on_deliver = [this](std::uint64_t dsn, std::uint32_t len) {
+      flat_out_.emplace_back(dsn, len);
+    };
+    ref_.on_deliver = [this](std::uint64_t dsn, std::uint32_t len) {
+      ref_out_.emplace_back(dsn, len);
+    };
+  }
+
+  /// Offers `a` to both buffers; `accepted` is the flat buffer's answer.
+  ::testing::AssertionResult offer(const Arrival& a, bool& accepted) {
+    const sim::TimePoint at = sim::TimePoint::origin() + sim::Duration::micros(a.at_us);
+    const std::optional<std::uint64_t> back = ref_.back_dsn();
+    if (a.dsn > ref_.rcv_nxt() && back && a.dsn < *back) ++mid_inserts_;
+    accepted = flat_.insert(a.dsn, a.len, at, a.subflow);
+    const bool ref_accepted = ref_.insert(a.dsn, a.len, at, a.subflow);
+    if (!ref_accepted) ++refusals_;
+    const auto fail = [&a](const char* what, auto flat, auto ref) {
+      return ::testing::AssertionFailure()
+             << what << " diverged after insert(dsn=" << a.dsn << ", len=" << a.len
+             << ", t=" << a.at_us << "us, sf=" << int{a.subflow} << "): flat " << flat
+             << ", reference " << ref;
+    };
+    if (accepted != ref_accepted) return fail("return value", accepted, ref_accepted);
+    if (flat_.rcv_nxt() != ref_.rcv_nxt()) return fail("rcv_nxt", flat_.rcv_nxt(), ref_.rcv_nxt());
+    if (flat_.buffered_bytes() != ref_.buffered_bytes()) {
+      return fail("buffered_bytes", flat_.buffered_bytes(), ref_.buffered_bytes());
+    }
+    if (flat_.window() != ref_.window()) return fail("window", flat_.window(), ref_.window());
+    if (flat_.duplicate_packets() != ref_.duplicate_packets()) {
+      return fail("duplicate_packets", flat_.duplicate_packets(), ref_.duplicate_packets());
+    }
+    if (flat_.max_buffered_bytes() != ref_.max_buffered_bytes()) {
+      return fail("max_buffered_bytes", flat_.max_buffered_bytes(), ref_.max_buffered_bytes());
+    }
+    if (flat_.delivered_bytes() != ref_.rcv_nxt()) {
+      return fail("delivered_bytes", flat_.delivered_bytes(), ref_.rcv_nxt());
+    }
+    if (flat_out_.size() != ref_out_.size()) {
+      return fail("on_deliver count", flat_out_.size(), ref_out_.size());
+    }
+    for (; checked_out_ < flat_out_.size(); ++checked_out_) {
+      if (flat_out_[checked_out_] != ref_out_[checked_out_]) {
+        return fail("on_deliver dsn", flat_out_[checked_out_].first,
+                    ref_out_[checked_out_].first);
+      }
+    }
+    const auto& fs = flat_.ofo_samples();
+    const auto& rs = ref_.ofo_samples();
+    if (fs.size() != rs.size()) return fail("ofo_samples size", fs.size(), rs.size());
+    for (; checked_samples_ < fs.size(); ++checked_samples_) {
+      const OfoSample& f = fs[checked_samples_];
+      const OfoSample& r = rs[checked_samples_];
+      if (f.delay != r.delay) return fail("sample delay (ns)", f.delay.ns(), r.delay.ns());
+      if (f.subflow_id != r.subflow_id) {
+        return fail("sample subflow_id", int{f.subflow_id}, int{r.subflow_id});
+      }
+      if (f.len != r.len) return fail("sample len", f.len, r.len);
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  /// Offers arrivals in order. A refused one waits until the window has
+  /// room for it (or it is in order) and is then offered again at once, as
+  /// a sender respecting the advertised window would retransmit it.
+  ::testing::AssertionResult replay(const std::vector<Arrival>& arrivals) {
+    std::vector<Arrival> blocked;
+    bool accepted = false;
+    for (const Arrival& a : arrivals) {
+      if (auto r = offer(a, accepted); !r) return r;
+      if (!accepted) blocked.push_back(a);
+      for (auto it = blocked.begin(); it != blocked.end();) {
+        if (it->dsn > flat_.rcv_nxt() && it->len > flat_.window()) {
+          ++it;
+          continue;
+        }
+        Arrival retry = *it;
+        retry.at_us = a.at_us;
+        blocked.erase(it);
+        if (auto r = offer(retry, accepted); !r) return r;
+        if (!accepted) return ::testing::AssertionFailure() << "refused with room";
+        it = blocked.begin();  // the delivery may have made room for earlier ones
+      }
+    }
+    if (!blocked.empty()) {
+      return ::testing::AssertionFailure() << blocked.size() << " arrivals never fit";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  [[nodiscard]] const ReorderBuffer& flat() const { return flat_; }
+  [[nodiscard]] std::size_t mid_inserts() const { return mid_inserts_; }
+  [[nodiscard]] std::size_t refusals() const { return refusals_; }
+
+ private:
+  ReorderBuffer flat_;
+  MapReorderBuffer ref_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> flat_out_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ref_out_;
+  std::size_t checked_out_{0};
+  std::size_t checked_samples_{0};
+  std::size_t mid_inserts_{0};
+  std::size_t refusals_{0};
+};
+
+/// Two paths striped over the DSN space, the second lagging the first by
+/// 30-50 ms. On top: holes on the lagging path filled ~50 segments later,
+/// exact duplicates on the other path, and re-chunked retransmissions that
+/// straddle rcv_nxt or overlap held segments. Returns arrivals and the
+/// stream length in bytes.
+std::pair<std::vector<Arrival>, std::uint64_t> lagged_two_path_arrivals(std::uint64_t seed,
+                                                                        std::size_t segments) {
+  sim::Rng rng{seed};
+  std::vector<Arrival> v;
+  std::int64_t last[2] = {0, 0};
+  std::uint64_t dsn = 0;
+  for (std::size_t i = 0; i < segments; ++i) {
+    const auto len = static_cast<std::uint32_t>(rng.chance(0.1) ? rng.uniform_int(100, 1400) : 1400);
+    const std::uint8_t path = rng.chance(0.6) ? 0 : 1;
+    const auto send_us = static_cast<std::int64_t>(i) * 100;
+    const double owd_us = path == 0 ? rng.uniform(10'000, 12'000) : rng.uniform(40'000, 60'000);
+    const std::int64_t at = std::max(send_us + static_cast<std::int64_t>(owd_us), last[path]);
+    last[path] = at;
+    if (path == 1 && rng.chance(0.01)) {
+      // Lost on the lagging path; its retransmission arrives ~50 segments on.
+      v.push_back(Arrival{dsn, len, at + 5'000 + rng.uniform_int(0, 2'000), 1});
+    } else {
+      v.push_back(Arrival{dsn, len, at, path});
+    }
+    if (rng.chance(0.01)) {
+      v.push_back(Arrival{dsn, len, at + rng.uniform_int(0, 30'000),
+                          static_cast<std::uint8_t>(1 - path)});
+    }
+    if (rng.chance(0.01)) {
+      const auto back = static_cast<std::uint64_t>(rng.uniform_int(0, 4'000));
+      v.push_back(Arrival{dsn > back ? dsn - back : 0,
+                          static_cast<std::uint32_t>(rng.uniform_int(500, 5'000)),
+                          at + rng.uniform_int(0, 50'000), path});
+    }
+    dsn += len;
+  }
+  std::stable_sort(v.begin(), v.end(),
+                   [](const Arrival& a, const Arrival& b) { return a.at_us < b.at_us; });
+  return {v, dsn};
+}
+
+TEST(ReorderBufferDiff, MatchesMapReferenceOnLaggedTwoPathArrivals) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 7u}) {
+    const auto [arrivals, total] = lagged_two_path_arrivals(seed, 6000);
+    ReorderDiff diff{64u << 20};
+    ASSERT_TRUE(diff.replay(arrivals)) << "seed " << seed;
+    EXPECT_EQ(diff.flat().rcv_nxt(), total) << "seed " << seed;
+    EXPECT_EQ(diff.flat().buffered_bytes(), 0u) << "seed " << seed;
+    EXPECT_GT(diff.mid_inserts(), 0u) << "seed " << seed;
+    EXPECT_GT(diff.flat().duplicate_packets(), 0u) << "seed " << seed;
+  }
+}
+
+TEST(ReorderBufferDiff, MatchesMapReferenceWhenCapacityRefusesHolds) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 7u}) {
+    const auto [arrivals, total] = lagged_two_path_arrivals(seed, 6000);
+    ReorderDiff diff{300 * 1400};
+    ASSERT_TRUE(diff.replay(arrivals)) << "seed " << seed;
+    EXPECT_EQ(diff.flat().rcv_nxt(), total) << "seed " << seed;
+    EXPECT_GT(diff.refusals(), 0u) << "seed " << seed;
+  }
+}
+
+/// Segment k of a 1000-byte grid, arriving at k ms on subflow 1.
+Arrival grid(std::uint64_t k) {
+  return Arrival{k * 1000, 1000, static_cast<std::int64_t>(k) * 1000, 1};
+}
+
+TEST(ReorderBufferDiff, MidInsertAfterSixteenFrontPops) {
+  // Hold 1..19, 21..25 and 27..30 behind a hole at 0: filling it pops 19
+  // records off the front (FlatDeque compacts at the 16th), leaving 21..25
+  // and 27..30 held. Segment 26 then lands between them, and 20 drains all.
+  ReorderDiff diff{1 << 20};
+  bool accepted = false;
+  for (std::uint64_t k = 1; k <= 30; ++k) {
+    if (k == 20 || k == 26) continue;
+    ASSERT_TRUE(diff.offer(grid(k), accepted)) << k;
+  }
+  ASSERT_TRUE(diff.offer(Arrival{0, 1000, 35'000, 0}, accepted));
+  EXPECT_EQ(diff.flat().rcv_nxt(), 20'000u);
+  EXPECT_EQ(diff.flat().buffered_bytes(), 9'000u);
+  ASSERT_TRUE(diff.offer(Arrival{26'000, 1000, 40'000, 0}, accepted));
+  EXPECT_EQ(diff.mid_inserts(), 1u);
+  EXPECT_EQ(diff.flat().buffered_bytes(), 10'000u);
+  ASSERT_TRUE(diff.offer(Arrival{20'000, 1000, 41'000, 0}, accepted));
+  EXPECT_EQ(diff.flat().rcv_nxt(), 31'000u);
+  EXPECT_EQ(diff.flat().buffered_bytes(), 0u);
+  // Segment 26 waited 1 ms for 20; segment 27 waited 14 ms.
+  const auto& samples = diff.flat().ofo_samples();
+  ASSERT_EQ(samples.size(), 31u);
+  EXPECT_EQ(samples[26].delay, sim::Duration::millis(1));
+  EXPECT_EQ(samples[26].subflow_id, 0);
+  EXPECT_EQ(samples[27].delay, sim::Duration::millis(14));
+}
+
+TEST(ReorderBufferDiff, GrowsPastSixteenRecordsWithNonZeroHead) {
+  // Holes at 0, 4 and 10. Filling 0 pops three records, so the held window
+  // starts at a non-zero head; appends then fill the 16-record storage and
+  // the mid-insert of 10 grows it. More appends follow, and 4 drains all.
+  ReorderDiff diff{1 << 20};
+  bool accepted = false;
+  for (std::uint64_t k = 1; k <= 16; ++k) {
+    if (k == 4 || k == 10) continue;
+    ASSERT_TRUE(diff.offer(grid(k), accepted)) << k;
+  }
+  ASSERT_TRUE(diff.offer(Arrival{0, 1000, 16'500, 0}, accepted));
+  EXPECT_EQ(diff.flat().rcv_nxt(), 4'000u);
+  for (std::uint64_t k = 17; k <= 18; ++k) ASSERT_TRUE(diff.offer(grid(k), accepted)) << k;
+  ASSERT_TRUE(diff.offer(Arrival{10'000, 1000, 19'000, 0}, accepted));
+  EXPECT_EQ(diff.mid_inserts(), 1u);
+  for (std::uint64_t k = 19; k <= 40; ++k) ASSERT_TRUE(diff.offer(grid(k), accepted)) << k;
+  EXPECT_EQ(diff.flat().buffered_bytes(), 36'000u);
+  ASSERT_TRUE(diff.offer(Arrival{4'000, 1000, 50'000, 0}, accepted));
+  EXPECT_EQ(diff.flat().rcv_nxt(), 41'000u);
+  EXPECT_EQ(diff.flat().buffered_bytes(), 0u);
+  EXPECT_EQ(diff.flat().max_buffered_bytes(), 36'000u);
+  EXPECT_EQ(diff.flat().ofo_samples().size(), 41u);
 }
 
 // --------------------------------------------------------------------------

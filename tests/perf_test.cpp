@@ -2,17 +2,23 @@
 //
 // The contract: once a simulation reaches steady state, forwarding a packet
 // performs no heap traffic — every acquire is served from the PacketPool
-// freelist. These tests pin that property so a future change that quietly
-// reintroduces per-packet allocations fails CI rather than a benchmark run.
+// freelist, and the MPTCP layer (reorder buffer, pump order) allocates
+// nothing per packet or per ACK. These tests pin that property so a future
+// change that quietly reintroduces per-packet allocations fails CI rather
+// than a benchmark run. The binary links bench/alloc_interposer.cpp, whose
+// counting operator new serves heap_allocations().
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_interposer.h"
 #include "app/http.h"
+#include "core/connection.h"
 #include "experiment/run.h"
 #include "experiment/testbed.h"
 #include "net/link.h"
@@ -103,6 +109,51 @@ TEST(PacketHotPath, DownloadSteadyStateHasZeroPoolMisses) {
       << "pool miss after warm-up: a packet path allocated in steady state";
   EXPECT_EQ(steady.high_water, warm.high_water);
   EXPECT_GT(steady.reuses, warm.reuses);
+}
+
+TEST(PacketHotPath, MptcpDownloadSteadyStateAllocatesUnderOnePerHundredEvents) {
+  // An MP-2 download on the default testbed: after an 8 s warm-up (pools,
+  // rings and the reorder buffer at their high-water marks) the rest of the
+  // 64 MB transfer must average at most one heap allocation per hundred
+  // executed events. What remains is growth to new high-water marks and
+  // control-plane work, not per-packet or per-ACK allocation.
+#if defined(MPR_AUDIT) && MPR_AUDIT
+  GTEST_SKIP() << "the armed audit checks allocate by design";
+#endif
+  constexpr std::uint64_t kFileBytes = 64ull << 20;
+  experiment::Testbed tb{experiment::TestbedConfig{}};
+  sim::Simulation& sim = tb.sim();
+
+  core::MptcpConfig mcfg;
+  app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, mcfg,
+                              std::vector<net::IpAddr>{},
+                              [](std::uint64_t) { return kFileBytes; }};
+  app::MptcpHttpClient client{
+      tb.client(), mcfg,
+      std::vector<net::IpAddr>{experiment::kClientWifiAddr, experiment::kClientCellAddr},
+      net::SocketAddr{experiment::kServerAddr1, experiment::kHttpPort}};
+
+  bool done = false;
+  client.get(kFileBytes, [&done](const app::FetchResult&) { done = true; });
+  const auto not_done = [&done] { return !done; };
+  sim.run_while(not_done, sim.now() + sim::Duration::seconds(8));
+  ASSERT_FALSE(done) << "transfer finished inside the warm-up window; grow kFileBytes";
+  ASSERT_EQ(client.connection().subflow_count(), 2u);
+
+  const std::uint64_t allocs_before = bench::heap_allocations();
+  const std::uint64_t events_before = sim.events().executed();
+  sim.run_while(not_done, sim.now() + sim::Duration::seconds(3600));
+  const std::uint64_t allocs = bench::heap_allocations() - allocs_before;
+  const std::uint64_t events = sim.events().executed() - events_before;
+  ASSERT_TRUE(done);
+  ASSERT_GT(events, 100000u) << "too few steady-state events to measure a rate";
+
+  const double per_event = static_cast<double>(allocs) / static_cast<double>(events);
+  RecordProperty("steady_state_allocs", static_cast<int64_t>(allocs));
+  RecordProperty("steady_state_events", static_cast<int64_t>(events));
+  EXPECT_LE(per_event, 0.01) << allocs << " heap allocations over " << events
+                             << " events after warm-up: the MPTCP data path allocates "
+                                "per packet or per ACK";
 }
 
 TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
