@@ -3,7 +3,9 @@
 // end-to-end download as a macro smoke benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "core/coupled_cc.h"
 #include "core/reorder_buffer.h"
@@ -139,6 +141,40 @@ void BM_ReorderBufferInterleaved(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_ReorderBufferInterleaved);
+
+void BM_ReorderBufferLossyLag(benchmark::State& state) {
+  // Two paths striped segment by segment, the second 20 slots behind the
+  // first. One segment in ~100 (every 50th of the lagging path) is lost and
+  // refilled 50 slots later: the lagging segments that arrive behind the
+  // hole, and the refill itself, land mid-buffer (binary search plus tail
+  // shift) instead of appending.
+  constexpr std::uint64_t kSegments = 10000;
+  struct Arrival {
+    std::uint64_t slot;
+    std::uint64_t seg;
+    std::uint8_t path;
+  };
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(kSegments);
+  for (std::uint64_t i = 0; i < kSegments; ++i) {
+    const auto path = static_cast<std::uint8_t>(i % 2);
+    std::uint64_t slot = path == 0 ? i : i + 20;
+    if (i % 100 == 1) slot += 50;
+    arrivals.push_back(Arrival{slot, i, path});
+  }
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const Arrival& a, const Arrival& b) { return a.slot < b.slot; });
+  for (auto _ : state) {
+    core::ReorderBuffer rb{8 << 20};
+    for (const Arrival& a : arrivals) {
+      rb.insert(a.seg * 1400, 1400,
+                sim::TimePoint::from_ns(static_cast<std::int64_t>(a.slot) * 100'000), a.path);
+    }
+    benchmark::DoNotOptimize(rb.ofo_samples().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kSegments);
+}
+BENCHMARK(BM_ReorderBufferLossyLag);
 
 class BenchFlow final : public tcp::FlowCc {
  public:
