@@ -22,7 +22,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kMptcp2;
       rc.file_bytes = 8 * kMB;
-      rc.receive_buffer = rc.subflow.receive_buffer = 256 * kKB;
+      rc.subflow.receive_buffer = 256 * kKB;
       rc.penalization = pen;
       const auto rs = experiment::run_series(tb3g, rc, n, 2020);
       double penalizations = 0;
@@ -107,7 +107,7 @@ int main() {
       RunConfig rc;
       rc.mode = PathMode::kMptcp2;
       rc.file_bytes = 8 * kMB;
-      rc.receive_buffer = rc.subflow.receive_buffer = buf;
+      rc.subflow.receive_buffer = buf;
       const auto rs = experiment::run_series(tb3g, rc, n, 2323);
       std::printf("  rcvbuf=%-8s mean=%s\n", experiment::fmt_size(buf).c_str(),
                   mean_s(rs).c_str());

@@ -25,7 +25,7 @@
 #include "experiment/table.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel.h"
 
 namespace mpr::bench {
 

@@ -44,6 +44,26 @@ struct FetchResult {
   [[nodiscard]] sim::Duration fetch_time() const { return complete_time - request_time; }
 };
 
+namespace detail {
+
+/// Server side of one connection: request bytes received, GETs answered.
+struct GetCounts {
+  std::uint64_t bytes_received{0};
+  std::uint64_t requests_served{0};
+};
+
+/// Client side: the GET in flight on the client's one connection.
+struct FetchState {
+  bool connected{false};
+  bool in_flight{false};
+  std::uint64_t expected_bytes{0};
+  std::uint64_t received_bytes{0};
+  FetchResult current;
+  std::function<void(const FetchResult&)> done;
+};
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // MPTCP flavour.
 
@@ -56,15 +76,10 @@ class MptcpHttpServer {
   [[nodiscard]] std::vector<core::MptcpConnection*> connections() { return conns_; }
 
  private:
-  struct PerConn {
-    std::uint64_t bytes_received{0};
-    std::uint64_t requests_served{0};
-  };
-
   ObjectSizeFn object_size_;
   std::unique_ptr<core::MptcpServer> server_;
   std::vector<core::MptcpConnection*> conns_;
-  std::vector<std::unique_ptr<PerConn>> states_;
+  std::vector<std::unique_ptr<detail::GetCounts>> states_;
 };
 
 class MptcpHttpClient {
@@ -78,19 +93,12 @@ class MptcpHttpClient {
   void get(std::uint64_t bytes, std::function<void(const FetchResult&)> done);
 
   [[nodiscard]] core::MptcpConnection& connection() { return *conn_; }
-  [[nodiscard]] bool idle() const { return !in_flight_; }
+  [[nodiscard]] bool idle() const { return !fetch_.in_flight; }
 
  private:
-  void maybe_connect();
-
   net::Host& host_;
   std::unique_ptr<core::MptcpConnection> conn_;
-  bool connected_{false};
-  bool in_flight_{false};
-  std::uint64_t expected_bytes_{0};
-  std::uint64_t received_bytes_{0};
-  FetchResult current_;
-  std::function<void(const FetchResult&)> done_;
+  detail::FetchState fetch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -106,11 +114,7 @@ class TcpHttpServer {
  private:
   ObjectSizeFn object_size_;
   std::unique_ptr<tcp::TcpAcceptor> acceptor_;
-  struct PerConn {
-    std::uint64_t bytes_received{0};
-    std::uint64_t requests_served{0};
-  };
-  std::vector<std::unique_ptr<PerConn>> states_;
+  std::vector<std::unique_ptr<detail::GetCounts>> states_;
 };
 
 class TcpHttpClient {
@@ -121,17 +125,12 @@ class TcpHttpClient {
   void get(std::uint64_t bytes, std::function<void(const FetchResult&)> done);
 
   [[nodiscard]] tcp::TcpEndpoint& endpoint() { return *ep_; }
-  [[nodiscard]] bool idle() const { return !in_flight_; }
+  [[nodiscard]] bool idle() const { return !fetch_.in_flight; }
 
  private:
   net::Host& host_;
   std::unique_ptr<tcp::TcpEndpoint> ep_;
-  bool connected_{false};
-  bool in_flight_{false};
-  std::uint64_t expected_bytes_{0};
-  std::uint64_t received_bytes_{0};
-  FetchResult current_;
-  std::function<void(const FetchResult&)> done_;
+  detail::FetchState fetch_;
 };
 
 }  // namespace mpr::app

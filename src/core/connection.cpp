@@ -83,7 +83,7 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
       scheduler_{config.scheduler, config.scheduler_weights},
-      rx_{config.receive_buffer} {
+      rx_{config.subflow.receive_buffer} {
   assert(!local_addrs_.empty());
   known_remote_addrs_.push_back(server.addr);
   init_rx_and_audit();
@@ -100,7 +100,7 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
       scheduler_{config.scheduler, config.scheduler_weights},
-      rx_{config.receive_buffer} {
+      rx_{config.subflow.receive_buffer} {
   assert(capable_syn.tcp.mp_capable() != nullptr);
   remote_key_ = capable_syn.tcp.mp_capable()->sender_key;
   known_remote_addrs_.push_back(capable_syn.src);
@@ -532,7 +532,7 @@ void MptcpConnection::strand(MptcpSubflow& sf) {
 }
 
 void MptcpConnection::on_subflow_rto(MptcpSubflow& sf) {
-  if (sf.consecutive_timeouts() >= config_.subflow.dead_rto_threshold) {
+  if (sf.consecutive_timeouts() >= tcp::kDeadRtoThreshold) {
     // A single timeout can be an isolated loss; reinject once the subflow
     // has stalled past the dead-path threshold.
     strand(sf);
@@ -616,7 +616,7 @@ bool MptcpConnection::any_viable_subflow() const {
       case tcp::TcpState::kCloseWait:
       case tcp::TcpState::kFinWait:
       case tcp::TcpState::kLastAck:
-        if (sf->consecutive_timeouts() < config_.subflow.dead_rto_threshold) return true;
+        if (sf->consecutive_timeouts() < tcp::kDeadRtoThreshold) return true;
         break;
       default:
         break;

@@ -54,7 +54,6 @@ struct MptcpConfig {
   bool simultaneous_syns{false};
   /// Linux receive-buffer penalization; the paper removes it (§3.1).
   bool penalization{false};
-  std::uint64_t receive_buffer{8 * 1024 * 1024};
   /// First delay before an MP_JOIN SYN that exhausted its TCP-level retries
   /// is tried again (the kernel path manager gives up forever; under
   /// scripted outages that permanently loses the second path). The backoff
@@ -163,7 +162,6 @@ class MptcpConnection {
   [[nodiscard]] const ReorderBuffer& rx() const { return rx_; }
   [[nodiscard]] std::vector<MptcpSubflow*> subflows() const;
   [[nodiscard]] std::size_t subflow_count() const { return subflows_.size(); }
-  [[nodiscard]] std::uint64_t data_bytes_sent() const { return data_snd_nxt_; }
   [[nodiscard]] std::uint64_t penalizations() const { return penalizations_; }
   [[nodiscard]] std::uint64_t reinjected_chunks() const { return reinjected_chunks_; }
   [[nodiscard]] std::uint64_t redundant_chunks() const { return redundant_chunks_; }

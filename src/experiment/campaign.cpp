@@ -11,8 +11,8 @@
 #include "check/audit.h"
 #include "experiment/series.h"
 #include "experiment/table.h"
+#include "sim/parallel.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 
 namespace mpr::experiment {
 
@@ -88,28 +88,6 @@ T pick_weighted(const std::vector<std::pair<T, double>>& mix, double u, T fallba
     if (x < 0.0) return value;
   }
   return mix.back().first;
-}
-
-// --- spec text parsing ---
-
-bool parse_bytes(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char suffix = tok.back();
-  std::uint64_t mult = 1;
-  std::string digits = tok;
-  if (suffix == 'k' || suffix == 'K') mult = 1024;
-  if (suffix == 'm' || suffix == 'M') mult = 1024 * 1024;
-  if (suffix == 'g' || suffix == 'G') mult = 1024ull * 1024 * 1024;
-  if (mult != 1) digits.pop_back();
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(digits, &pos);
-    if (pos != digits.size()) return false;
-    *out = v * mult;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -213,11 +191,12 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
     } else if (key == "size") {
       std::string tok;
       double w = 0.0;
-      std::uint64_t bytes = 0;
-      if (!(ls >> tok) || !parse_bytes(tok, &bytes) || bytes == 0 || !need_double(&w) || w <= 0.0) {
+      ls >> tok;
+      const std::optional<std::uint64_t> bytes = parse_size(tok);
+      if (!bytes || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "size: `<bytes[k|m|g]> <weight>` expected");
       }
-      spec.sizes.emplace_back(bytes, w);
+      spec.sizes.emplace_back(*bytes, w);
     } else if (key == "hotspot-prob") {
       if (!need_double(&spec.hotspot_prob) || spec.hotspot_prob < 0.0 || spec.hotspot_prob > 1.0) {
         return fail(line_no, "hotspot-prob: probability in [0,1] expected");
@@ -297,8 +276,7 @@ SampledUser sample_user(const CampaignSpec& spec, std::uint64_t user) {
     // every one-way delay of both access paths.
     const double f = pop.lognormal_median(1.0, spec.rtt_sigma);
     for (netem::AccessProfile* p : {&u.testbed.wifi, &u.testbed.cellular}) {
-      p->owd_down = p->owd_down * f;
-      p->owd_up = p->owd_up * f;
+      p->owd = p->owd * f;
     }
   }
   if (spec.loss_scale_lo != 1.0 || spec.loss_scale_hi != 1.0) {

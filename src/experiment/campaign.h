@@ -6,7 +6,7 @@
 // time, out-of-order delay, cellular traffic share across many
 // measurements). A CampaignSpec describes such a population; the engine
 // samples one configuration per user index, runs each user as an isolated
-// simulation on the sim::ThreadPool, and folds every result into
+// simulation through sim::parallel_for_index, and folds every result into
 // analysis::QSketch aggregates immediately — no per-run result vectors stay
 // resident, so a million-user sweep holds O(sketch) memory.
 //

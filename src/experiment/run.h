@@ -29,10 +29,9 @@ enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 /// settings also configure the single-path TCP runs) plus the run's own
 /// fields below.
 ///
-/// Receive buffers: the inherited `receive_buffer` is the MPTCP
-/// connection-level buffer only. Single-path runs and each subflow's
-/// advertised window read `subflow.receive_buffer`; a caller that means
-/// both sets `rc.receive_buffer = rc.subflow.receive_buffer = bytes`.
+/// Receive buffer: one knob, `subflow.receive_buffer`. It sizes the
+/// single-path endpoints and the MPTCP connection-level reorder buffer;
+/// MPTCP subflows advertise that connection window.
 struct RunConfig : core::MptcpConfig {
   PathMode mode{PathMode::kMptcp2};
   std::uint64_t file_bytes{512 * 1024};

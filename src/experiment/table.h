@@ -1,20 +1,16 @@
 // Small fixed-width table formatting helpers for the bench binaries, which
-// print paper-style rows (mean ± stderr, box summaries, CCDF points).
+// print paper-style rows (mean ± stderr, box summaries, CCDF points), and
+// the size parser that the CLI flags and the campaign spec share.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "analysis/stats.h"
 
 namespace mpr::experiment {
-
-/// "== title ==" banner.
-void print_banner(const std::string& title);
-
-/// Prints one row of fixed-width (16-char) cells.
-void print_row(const std::vector<std::string>& cells);
 
 /// Box summary "min/q1/median/q3/max" with the given unit suffix.
 [[nodiscard]] std::string fmt_box(const analysis::Summary& s, const std::string& unit = "s");
@@ -24,5 +20,10 @@ void print_row(const std::vector<std::string>& cells);
 
 /// Human file size ("64KB", "4MB").
 [[nodiscard]] std::string fmt_size(std::uint64_t bytes);
+
+/// Parses a size of at least 1 byte: decimal digits with an optional k, m or
+/// g suffix (binary multiples, either case). Nullopt for anything else — a
+/// sign, a stray character, zero, or a value past 2^64 - 1.
+[[nodiscard]] std::optional<std::uint64_t> parse_size(std::string_view text);
 
 }  // namespace mpr::experiment

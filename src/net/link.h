@@ -85,8 +85,6 @@ class Link {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::uint64_t queued_bytes() const { return queue_->bytes(); }
-  [[nodiscard]] std::size_t queued_packets() const { return queue_->packets(); }
 
  private:
   void maybe_start_service();

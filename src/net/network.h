@@ -62,7 +62,6 @@ class Network {
   void notify_drop(const Packet& p);
 
   [[nodiscard]] sim::Duration wired_delay() const { return wired_delay_; }
-  void set_wired_delay(sim::Duration d) { wired_delay_ = d; }
 
   [[nodiscard]] std::uint64_t next_packet_uid() { return next_uid_++; }
 

@@ -31,7 +31,7 @@ PacketPtr DropTailQueue::dequeue(sim::TimePoint /*now*/) {
 
 bool CodelQueue::enqueue(PacketPtr p, sim::TimePoint now) {
   const std::uint64_t wire = p->wire_bytes();
-  if (bytes_ + wire > params_.capacity_bytes && !queue_.empty()) {
+  if (bytes_ + wire > capacity_ && !queue_.empty()) {
     report_drop(*p);
     return false;
   }
@@ -51,12 +51,12 @@ CodelQueue::Front CodelQueue::do_dequeue(sim::TimePoint now) {
   bytes_ -= p->wire_bytes();
 
   const sim::Duration sojourn = now - p->enqueue_time;
-  if (sojourn < params_.target || bytes_ <= params_.mtu_bytes) {
+  if (sojourn < kTarget || bytes_ <= kMtuBytes) {
     // Out of the "standing queue" regime.
     has_first_above_ = false;
   } else if (!has_first_above_) {
     has_first_above_ = true;
-    first_above_time_ = now + params_.interval;
+    first_above_time_ = now + kInterval;
   } else if (now >= first_above_time_) {
     f.ok_to_drop = true;
   }
@@ -98,7 +98,7 @@ PacketPtr CodelQueue::dequeue(sim::TimePoint now) {
     dropping_ = true;
     // Restart the control law near where it left off if we were recently
     // dropping (RFC 8289 §5.4).
-    if (count_ > 2 && now - drop_next_ < params_.interval * 8.0) {
+    if (count_ > 2 && now - drop_next_ < kInterval * 8.0) {
       count_ -= 2;
     } else {
       count_ = 1;

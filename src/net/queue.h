@@ -71,18 +71,17 @@ class DropTailQueue final : public QueueDiscipline {
 };
 
 /// CoDel (RFC 8289): drops at dequeue when the standing (sojourn) delay has
-/// exceeded `target` for at least `interval`, with the sqrt control law.
+/// exceeded `kTarget` for at least `kInterval`, with the sqrt control law.
 /// A byte cap still bounds worst-case memory.
 class CodelQueue final : public QueueDiscipline {
  public:
-  struct Params {
-    sim::Duration target{sim::Duration::millis(5)};
-    sim::Duration interval{sim::Duration::millis(100)};
-    std::uint64_t capacity_bytes{4 * 1024 * 1024};
-    std::uint32_t mtu_bytes{1540};
-  };
+  /// RFC 8289's recommended target and interval for the open Internet.
+  static constexpr sim::Duration kTarget = sim::Duration::millis(5);
+  static constexpr sim::Duration kInterval = sim::Duration::millis(100);
+  /// At most one MTU queued never counts as a standing queue.
+  static constexpr std::uint32_t kMtuBytes = 1540;
 
-  explicit CodelQueue(Params params) : params_{params} {}
+  explicit CodelQueue(std::uint64_t capacity_bytes) : capacity_{capacity_bytes} {}
 
   bool enqueue(PacketPtr p, sim::TimePoint now) override;
   PacketPtr dequeue(sim::TimePoint now) override;
@@ -97,10 +96,10 @@ class CodelQueue final : public QueueDiscipline {
   };
   Front do_dequeue(sim::TimePoint now);
   [[nodiscard]] sim::TimePoint control_law(sim::TimePoint t) const {
-    return t + params_.interval * (1.0 / std::sqrt(static_cast<double>(count_)));
+    return t + kInterval * (1.0 / std::sqrt(static_cast<double>(count_)));
   }
 
-  Params params_;
+  std::uint64_t capacity_;
   std::uint64_t bytes_{0};
   sim::FlatRing<PacketPtr> queue_;  // see DropTailQueue::queue_
 

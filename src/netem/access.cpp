@@ -23,13 +23,13 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
   net::Link::Config up_cfg{
       .name = base + ".up",
       .rate_bps = profile.up_rate_bps,
-      .prop_delay = profile.owd_up,
+      .prop_delay = profile.owd,
       .queue_capacity_bytes = profile.queue_up_bytes,
   };
   net::Link::Config down_cfg{
       .name = base + ".down",
       .rate_bps = profile.down_rate_bps,
-      .prop_delay = profile.owd_down,
+      .prop_delay = profile.owd,
       .queue_capacity_bytes = profile.queue_down_bytes,
   };
 
@@ -38,10 +38,7 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
   down_ = std::make_unique<net::Link>(sim, down_cfg, deliver);
 
   if (profile.codel_downlink) {
-    down_->set_queue_discipline(std::make_unique<net::CodelQueue>(
-        net::CodelQueue::Params{.target = profile.codel_target,
-                                .interval = profile.codel_interval,
-                                .capacity_bytes = profile.queue_down_bytes}));
+    down_->set_queue_discipline(std::make_unique<net::CodelQueue>(profile.queue_down_bytes));
   }
 
   install_loss_models();
@@ -180,8 +177,7 @@ AccessProfile wifi_home() {
   p.rate_sigma = 0.15;
   p.rate_max_factor = 1.3;
   p.rate_resample = sim::Duration::millis(100);
-  p.owd_down = sim::Duration::millis(9);
-  p.owd_up = sim::Duration::millis(9);
+  p.owd = sim::Duration::millis(9);
   p.queue_down_bytes = 96 * 1024;
   p.queue_up_bytes = 48 * 1024;
   // Bursty WiFi loss, long-run average ~1.5% (bursts keep the number of
@@ -203,8 +199,7 @@ AccessProfile wifi_hotspot() {
   p.down_rate_bps = 15e6;
   p.up_rate_bps = 4e6;
   p.rate_sigma = 0.35;
-  p.owd_down = sim::Duration::millis(8);
-  p.owd_up = sim::Duration::millis(8);
+  p.owd = sim::Duration::millis(8);
   // Lossier radio environment (many stations, contention): ~3-5%.
   p.ge_down = net::GilbertElliottLoss::Params{
       .p_good_to_bad = 0.015, .p_bad_to_good = 0.2, .loss_good = 0.018, .loss_bad = 0.3};
@@ -225,8 +220,7 @@ AccessProfile att_lte() {
   p.rate_sigma = 1.0;
   p.rate_run_sigma = 0.25;
   p.rate_resample = sim::Duration::millis(1100);
-  p.owd_down = sim::Duration::millis(28);
-  p.owd_up = sim::Duration::millis(28);
+  p.owd = sim::Duration::millis(28);
   p.queue_down_bytes = 640 * 1024;  // deep RAN buffer, essentially no loss
   p.queue_up_bytes = 256 * 1024;
   p.loss_down = 0.00005;
@@ -251,8 +245,7 @@ AccessProfile verizon_lte() {
   p.rate_sigma = 1.0;   // much higher rate variability than AT&T...
   p.rate_run_sigma = 0.7;  // ...and a wide spread across locations/days
   p.rate_resample = sim::Duration::millis(1500);
-  p.owd_down = sim::Duration::millis(15);  // smaller base RTT than AT&T (Fig 12)
-  p.owd_up = sim::Duration::millis(15);
+  p.owd = sim::Duration::millis(15);  // smaller base RTT than AT&T (Fig 12)
   p.queue_down_bytes = 896 * 1024;  // ~0.7s at nominal rate; seconds during dips
   p.queue_up_bytes = 128 * 1024;
   p.loss_down = 0.0001;
@@ -275,8 +268,7 @@ AccessProfile sprint_evdo() {
   p.rate_sigma = 1.2;
   p.rate_run_sigma = 0.45;
   p.rate_resample = sim::Duration::millis(2000);
-  p.owd_down = sim::Duration::millis(24);  // min RTT ~50ms (Fig 12) ...
-  p.owd_up = sim::Duration::millis(24);
+  p.owd = sim::Duration::millis(24);  // min RTT ~50ms (Fig 12) ...
   p.queue_down_bytes = 384 * 1024;  // ... but queueing dominates: seconds of buffer
   p.queue_up_bytes = 64 * 1024;
   // Residual loss the link-layer ARQ cannot hide (weak signal, RLP give-up),

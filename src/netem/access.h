@@ -46,18 +46,17 @@ struct AccessProfile {
   /// reproduces that between-run spread.
   double rate_run_sigma{0.0};
 
-  // Base one-way propagation delay (client <-> server, wired part included).
-  sim::Duration owd_down{sim::Duration::millis(10)};
-  sim::Duration owd_up{sim::Duration::millis(10)};
+  // Base one-way propagation delay of each direction (client <-> server,
+  // wired part included).
+  sim::Duration owd{sim::Duration::millis(10)};
 
   // Drop-tail queue depth (bufferbloat knob).
   std::uint64_t queue_down_bytes{128 * 1024};
   std::uint64_t queue_up_bytes{64 * 1024};
-  /// Replace the downlink drop-tail with CoDel (extension: the §5.1
-  /// bufferbloat counterfactual — what if the RAN ran modern AQM).
+  /// Replace the downlink drop-tail with CoDel at its RFC 8289 defaults
+  /// (extension: the §5.1 bufferbloat counterfactual — what if the RAN ran
+  /// modern AQM).
   bool codel_downlink{false};
-  sim::Duration codel_target{sim::Duration::millis(5)};
-  sim::Duration codel_interval{sim::Duration::millis(100)};
 
   // Wire loss. If `ge_down` is set it overrides the Bernoulli model downlink.
   double loss_down{0.0};
@@ -140,7 +139,6 @@ class AccessNetwork {
     }
     return *mbox_;
   }
-  [[nodiscard]] bool has_middlebox() const { return mbox_ != nullptr; }
   [[nodiscard]] const Middlebox* middlebox_if() const { return mbox_.get(); }
 
  private:

@@ -32,14 +32,14 @@ void BackgroundTraffic::schedule_next() {
   }
 
   const double rate_bps = link_.config().rate_bps * config_.on_utilization;
-  const double mean_gap_s = static_cast<double>(config_.packet_bytes) * 8.0 / rate_bps;
+  const double mean_gap_s = static_cast<double>(kPacketBytes) * 8.0 / rate_bps;
   const double gap_s = rng_.exponential(mean_gap_s);
   pending_ = sim_.after(sim::Duration::from_seconds(gap_s), [this] {
     if (on_ && sim_.now() < phase_end_) {
       net::PacketPtr p = sim_.service<net::PacketPool>().acquire();
-      p->src = config_.phantom_src;
-      p->dst = config_.phantom_dst;
-      p->payload_bytes = config_.packet_bytes - 40;
+      p->src = kPhantomSrc;
+      p->dst = kPhantomDst;
+      p->payload_bytes = kPacketBytes - 40;
       p->cross_traffic = true;
       ++injected_;
       link_.send(std::move(p));

@@ -25,10 +25,13 @@ class BackgroundTraffic {
     double on_utilization{0.6};   // fraction of link rate consumed while ON
     double on_fraction{0.5};      // long-run fraction of time in ON phase
     sim::Duration mean_on{sim::Duration::seconds(2)};
-    std::uint32_t packet_bytes{1460};
-    net::IpAddr phantom_src{0xFFFF0001};
-    net::IpAddr phantom_dst{0xFFFF0002};
   };
+
+  /// Wire size of every phantom packet, and the addresses it carries (no
+  /// host owns them; the packets end at the wire).
+  static constexpr std::uint32_t kPacketBytes = 1460;
+  static constexpr net::IpAddr kPhantomSrc{0xFFFF0001};
+  static constexpr net::IpAddr kPhantomDst{0xFFFF0002};
 
   /// Starts generating immediately. `link` must outlive this object.
   BackgroundTraffic(sim::Simulation& sim, net::Link& link, Config config, sim::Rng rng);

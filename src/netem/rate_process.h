@@ -22,9 +22,11 @@ class RateProcess {
     double base_bps{10e6};
     double sigma{0.0};  // 0 => constant rate
     sim::Duration resample_interval{sim::Duration::millis(200)};
-    double min_bps{64e3};
     double max_factor{1.5};  // cap on rate above base (dips are the point)
   };
+
+  /// Floor under the deepest dip: the link keeps crawling, never stalls.
+  static constexpr double kMinBps = 64e3;
 
   RateProcess(sim::Simulation& sim, Config config, sim::Rng rng)
       : sim_{sim}, config_{config}, rng_{std::move(rng)}, current_bps_{config.base_bps} {}
@@ -37,7 +39,7 @@ class RateProcess {
       // log(median=1.0) == 0.0, hoisted out of the resample loop; identical
       // arithmetic to lognormal_median(1.0, sigma).
       const double factor = rng_.lognormal_log_median(0.0, config_.sigma);
-      current_bps_ = std::clamp(config_.base_bps / factor, config_.min_bps,
+      current_bps_ = std::clamp(config_.base_bps / factor, kMinBps,
                                 config_.base_bps * config_.max_factor);
       next_resample_ = next_resample_ + config_.resample_interval;
     }

@@ -1,7 +1,8 @@
 // TCP endpoint configuration. Defaults follow the paper's testbed settings
 // (§3.1): initial window of 10 segments, ssthresh 64 KB, SACK on, metric
 // caching disabled (there is no cache in this implementation), 8 MB receive
-// buffer.
+// buffer. Settings that no experiment varies are the constants below;
+// TcpConfig holds the ones a bench, a tool or a failure-path test sets.
 #pragma once
 
 #include <cstdint>
@@ -13,36 +14,45 @@ namespace mpr::tcp {
 
 class MetricsCache;
 
+/// Maximum segment payload (bytes). 1400 leaves room for TCP/MPTCP options
+/// within a 1500-byte MTU.
+inline constexpr std::uint32_t kMss = 1400;
+
+inline constexpr std::uint32_t kInitialCwndSegments = 10;
+
+inline constexpr sim::Duration kMinRto = sim::Duration::millis(200);  // Linux TCP_RTO_MIN
+inline constexpr sim::Duration kInitialRto = sim::Duration::seconds(1);
+inline constexpr sim::Duration kMaxRto = sim::Duration::seconds(60);
+
+/// Consecutive RTOs after which the path is considered dead (MPTCP uses
+/// this both to fail over and to reinject stranded data).
+inline constexpr std::uint32_t kDeadRtoThreshold = 2;
+/// Once a path looks dead, stop doubling the RTO past this cap so probes
+/// keep flowing and recovery after a blackout is prompt (full exponential
+/// backoff to kMaxRto can leave the flow idle for a minute after the link
+/// is back).
+inline constexpr sim::Duration kDeadRtoCap = sim::Duration::seconds(8);
+static_assert(kDeadRtoCap <= kMaxRto);
+
+inline constexpr std::uint32_t kDupackThreshold = 3;
+
+inline constexpr sim::Duration kDelackTimeout = sim::Duration::millis(40);
+/// Linux-style quick-ack phase: the first N data segments are acknowledged
+/// immediately so slow start is not throttled at connection startup.
+inline constexpr std::uint32_t kQuickackSegments = 16;
+
 struct TcpConfig {
-  /// Maximum segment payload (bytes). 1400 leaves room for TCP/MPTCP options
-  /// within a 1500-byte MTU.
-  std::uint32_t mss{1400};
-
-  std::uint32_t initial_cwnd_segments{10};
-
   /// Initial slow-start threshold in bytes. The paper pins this to 64 KB to
   /// avoid cellular RTT inflation from an unbounded slow start; set to
   /// `kInfiniteSsthresh` to reproduce the Linux default for the ablation.
   std::uint64_t initial_ssthresh{64 * 1024};
 
+  /// Receive buffer of a single-path endpoint, and the connection-level
+  /// reorder buffer of an MPTCP connection (whose subflows advertise the
+  /// connection window, not this one).
   std::uint64_t receive_buffer{8 * 1024 * 1024};
 
-  sim::Duration min_rto{sim::Duration::millis(200)};  // Linux TCP_RTO_MIN
-  sim::Duration initial_rto{sim::Duration::seconds(1)};
-  sim::Duration max_rto{sim::Duration::seconds(60)};
   int max_syn_retries{6};
-
-  /// Consecutive RTOs after which the path is considered dead (MPTCP uses
-  /// this both to fail over and to reinject stranded data).
-  std::uint32_t dead_rto_threshold{2};
-  /// Once a path looks dead, stop doubling the RTO past this cap so probes
-  /// keep flowing and recovery after a blackout is prompt (full exponential
-  /// backoff to max_rto can leave the flow idle for a minute after the link
-  /// is back).
-  sim::Duration dead_rto_cap{sim::Duration::seconds(8)};
-
-  std::uint32_t dupack_threshold{3};
-  bool sack_enabled{true};
 
   /// F-RTO spurious-timeout detection (RFC 5682). After an RTO, instead of
   /// immediately go-back-N retransmitting, probe with new data; if the next
@@ -52,12 +62,6 @@ struct TcpConfig {
   /// cellular "loss rates" of Tables 2/5 include exactly the spurious
   /// retransmission bursts F-RTO suppresses (see the ablation bench).
   bool frto_enabled{false};
-
-  bool delayed_ack{true};
-  sim::Duration delack_timeout{sim::Duration::millis(40)};
-  /// Linux-style quick-ack phase: the first N data segments are acknowledged
-  /// immediately so slow start is not throttled at connection startup.
-  std::uint32_t quickack_segments{16};
 
   /// Per-destination metric cache (Linux tcp_metrics). Null — the paper's
   /// testbed setting (§3.1) — disables caching; otherwise new connections

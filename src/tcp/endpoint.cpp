@@ -44,8 +44,7 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
     : host_{host},
       local_{local},
       remote_{remote},
-      config_{config},
-      rto_{config.initial_rto} {
+      config_{config} {
   if (cc == nullptr) {
     owned_cc_ = std::make_unique<NewRenoCc>();
     cc_ = owned_cc_.get();
@@ -53,16 +52,15 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
     cc_ = cc;
   }
   cc_->register_flow(*this);
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments) * config_.mss;
+  cwnd_ = static_cast<double>(kInitialCwndSegments) * kMss;
   ssthresh_ = config_.initial_ssthresh;
   if (config_.metrics_cache != nullptr) {
     // Linux tcp_metrics: inherit the cached post-loss ssthresh (§3.1 —
     // the paper disables this; see TcpConfig::metrics_cache).
     if (const auto cached = config_.metrics_cache->lookup_ssthresh(remote_.addr)) {
-      ssthresh_ = std::max<std::uint64_t>(*cached, 2 * config_.mss);
+      ssthresh_ = std::max<std::uint64_t>(*cached, 2 * kMss);
     }
   }
-  quickack_left_ = config_.quickack_segments;
   host_.register_flow(net::FlowKey{local_, remote_},
                       [this](net::PacketPtr p) { on_packet(std::move(p)); });
 }
@@ -153,10 +151,10 @@ void TcpEndpoint::pump() {
 
     if (flight >= wnd) break;
     const std::uint64_t room = wnd - flight;
-    if (room < config_.mss && flight > 0) break;  // avoid silly-window segments
+    if (room < kMss && flight > 0) break;  // avoid silly-window segments
 
-    const auto chunk = next_chunk(static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(room, config_.mss)));
+    const auto chunk =
+        next_chunk(static_cast<std::uint32_t>(std::min<std::uint64_t>(room, kMss)));
     if (!chunk || chunk->len == 0) {
       maybe_send_fin();
       break;
@@ -190,7 +188,7 @@ net::PacketPtr TcpEndpoint::make_packet(std::uint8_t flags, std::uint64_t seq,
   p.tcp.wnd = advertised_window();
   p.payload_bytes = payload;
   p.first_sent_time = sim().now();
-  if (config_.sack_enabled && (!ooo_.empty() || pending_dsack_)) fill_sack_blocks(p);
+  if (!ooo_.empty() || pending_dsack_) fill_sack_blocks(p);
   return pkt;
 }
 
@@ -363,7 +361,7 @@ void TcpEndpoint::decorate_outgoing(net::Packet& /*p*/) {}
 void TcpEndpoint::process_ack_side(const net::Packet& p) {
   if (!p.tcp.has(net::kFlagAck)) return;
   peer_rwnd_ = p.tcp.wnd;
-  if (config_.sack_enabled && !p.tcp.sack.empty()) process_sack(p.tcp.sack);
+  if (!p.tcp.sack.empty()) process_sack(p.tcp.sack);
 
   const std::uint64_t ack = p.tcp.ack;
   if (ack > snd_una_) {
@@ -437,8 +435,8 @@ void TcpEndpoint::process_ack_side(const net::Packet& p) {
     if (frto_active_) frto_genuine_loss();
     update_loss_marks();
     if (!in_recovery_ &&
-        (dupacks_ >= config_.dupack_threshold ||
-         sacked_bytes_ >= static_cast<std::uint64_t>(config_.dupack_threshold) * config_.mss)) {
+        (dupacks_ >= kDupackThreshold ||
+         sacked_bytes_ >= static_cast<std::uint64_t>(kDupackThreshold) * kMss)) {
       enter_recovery(/*loss_state=*/false);
     }
     pump();  // SACK may have freed pipe space
@@ -464,9 +462,8 @@ void TcpEndpoint::process_sack(const net::SackList& blocks) {
 }
 
 void TcpEndpoint::update_loss_marks() {
-  if (!config_.sack_enabled || highest_sacked_ <= snd_una_) return;
-  const std::uint64_t lookahead =
-      static_cast<std::uint64_t>(config_.dupack_threshold - 1) * config_.mss;
+  if (highest_sacked_ <= snd_una_) return;
+  const std::uint64_t lookahead = static_cast<std::uint64_t>(kDupackThreshold - 1) * kMss;
   bool marked = false;
   for (std::size_t i = 0; i < unacked_.size(); ++i) {
     SegInfo& seg = unacked_.at(i).val;
@@ -537,9 +534,7 @@ void TcpEndpoint::process_data_side(const net::Packet& p) {
       deliver_in_order();
     } else {
       out_of_order = true;  // stale duplicate: ack immediately, report DSACK
-      if (config_.sack_enabled) {
-        pending_dsack_ = net::SackBlock{seq, seq + p.payload_bytes};
-      }
+      pending_dsack_ = net::SackBlock{seq, seq + p.payload_bytes};
     }
   }
 
@@ -607,7 +602,7 @@ void TcpEndpoint::handle_data(std::uint64_t offset, std::uint32_t len,
 // ACK generation.
 
 void TcpEndpoint::ack_received_data(bool out_of_order) {
-  if (out_of_order || !config_.delayed_ack || quickack_left_ > 0) {
+  if (out_of_order || quickack_left_ > 0) {
     send_ack_now();
     return;
   }
@@ -616,7 +611,7 @@ void TcpEndpoint::ack_received_data(bool out_of_order) {
     return;
   }
   if (delack_timer_ == sim::kInvalidEventId) {
-    delack_timer_ = sim().after(config_.delack_timeout, [this] {
+    delack_timer_ = sim().after(kDelackTimeout, [this] {
       delack_timer_ = sim::kInvalidEventId;
       send_ack_now();
     });
@@ -726,7 +721,7 @@ void TcpEndpoint::on_rto_timer() {
       return;
     }
     send_syn(/*with_ack=*/state_ == TcpState::kSynReceived);
-    rto_ = std::min(rto_ * 2, config_.max_rto);
+    rto_ = std::min(rto_ * 2, kMaxRto);
     arm_rto();
     return;
   }
@@ -735,11 +730,10 @@ void TcpEndpoint::on_rto_timer() {
   ++metrics_.timeouts;
   ++consecutive_timeouts_;
   // Once the path looks dead, cap the exponential backoff: a blackout should
-  // not push the probe interval to max_rto, or the flow sits idle long after
-  // the link is restored (see TcpConfig::dead_rto_cap).
-  const sim::Duration backoff_cap = consecutive_timeouts_ >= config_.dead_rto_threshold
-                                        ? std::min(config_.dead_rto_cap, config_.max_rto)
-                                        : config_.max_rto;
+  // not push the probe interval to kMaxRto, or the flow sits idle long after
+  // the link is restored (see kDeadRtoCap).
+  const sim::Duration backoff_cap =
+      consecutive_timeouts_ >= kDeadRtoThreshold ? kDeadRtoCap : kMaxRto;
 
   if (config_.frto_enabled) {
     // F-RTO: retransmit only the head and let the next ACKs decide whether
@@ -820,7 +814,7 @@ void TcpEndpoint::rtt_sample(sim::Duration sample) {
     srtt_ = srtt_ * 7 / 8 + sample / 8;
   }
   const sim::Duration candidate = srtt_ + std::max(rttvar_ * 4, kRtoGranularity);
-  rto_ = std::clamp(candidate, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(candidate, kMinRto, kMaxRto);
 }
 
 }  // namespace mpr::tcp

@@ -266,7 +266,7 @@ TEST(CampaignSample, IsAPureFunctionOfSpecAndIndex) {
   const SampledUser again = sample_user(spec, 17);
   EXPECT_EQ(once.testbed.seed, again.testbed.seed);
   EXPECT_EQ(once.label, again.label);
-  EXPECT_EQ(once.testbed.wifi.owd_down.ns(), again.testbed.wifi.owd_down.ns());
+  EXPECT_EQ(once.testbed.wifi.owd.ns(), again.testbed.wifi.owd.ns());
   // Different users draw different seeds (the population is not degenerate).
   EXPECT_NE(once.testbed.seed, sample_user(spec, 18).testbed.seed);
 }

@@ -177,7 +177,7 @@ TEST_P(MptcpBufferSweep, TightBuffersNeverViolateCapacityOrOrder) {
   tb_cfg.seed = 77;
   tb_cfg.cellular = netem::sprint_evdo();  // maximal reordering pressure
   RunConfig rc;
-  rc.receive_buffer = buf;
+  rc.subflow.receive_buffer = buf;
   rc.file_bytes = 1 << 20;
   rc.ping_warmup = false;
   rc.timeout = sim::Duration::seconds(900);

@@ -494,8 +494,7 @@ netem::AccessProfile clean_path(const std::string& name, double rate_bps,
   p.down_rate_bps = rate_bps;
   p.up_rate_bps = rate_bps / 2;
   p.rate_sigma = 0;
-  p.owd_down = owd;
-  p.owd_up = owd;
+  p.owd = owd;
   p.queue_down_bytes = 1 << 20;
   p.queue_up_bytes = 1 << 20;
   p.loss_down = 0;
@@ -754,7 +753,7 @@ TEST(MptcpConnection, SurvivesMidTransferPathDeath) {
 TEST(MptcpConnection, PenalizationFiresWhenReceiveLimited) {
   MptcpConfig cfg;
   cfg.penalization = true;
-  cfg.receive_buffer = 64 * 1024;  // tight: slow path blocks the window
+  cfg.subflow.receive_buffer = 64 * 1024;  // tight: slow path blocks the window
   MptcpRig rig{cfg, 6 << 20};
   rig.run_download(6 << 20, sim::Duration::seconds(120));
   ASSERT_TRUE(rig.done);
@@ -764,7 +763,7 @@ TEST(MptcpConnection, PenalizationFiresWhenReceiveLimited) {
 
 TEST(MptcpConnection, NoPenalizationByDefault) {
   MptcpConfig cfg;
-  cfg.receive_buffer = 64 * 1024;
+  cfg.subflow.receive_buffer = 64 * 1024;
   MptcpRig rig{cfg, 2 << 20};
   rig.run_download(2 << 20, sim::Duration::seconds(120));
   ASSERT_TRUE(rig.done);

@@ -27,13 +27,12 @@ TEST(RateProcessTest, StaysWithinBounds) {
                  {.base_bps = 10e6,
                   .sigma = 1.2,
                   .resample_interval = sim::Duration::millis(10),
-                  .min_bps = 1e5,
                   .max_factor = 1.0},
                  sim.rng("r")};
   for (int i = 0; i < 1000; ++i) {
     sim.run_for(sim::Duration::millis(10));
     const double r = rp.rate_bps();
-    EXPECT_GE(r, 1e5);
+    EXPECT_GE(r, RateProcess::kMinBps);
     EXPECT_LE(r, 10e6);
   }
 }
@@ -194,7 +193,7 @@ TEST(ProfilesTest, AllProfilesHaveSaneParameters) {
     EXPECT_GT(p.down_rate_bps, 0) << p.name;
     EXPECT_GT(p.up_rate_bps, 0) << p.name;
     EXPECT_GT(p.queue_down_bytes, 0u) << p.name;
-    EXPECT_GT(p.owd_down, sim::Duration::zero()) << p.name;
+    EXPECT_GT(p.owd, sim::Duration::zero()) << p.name;
     EXPECT_LE(p.rate_max_factor, 1.5) << p.name;
   }
 }

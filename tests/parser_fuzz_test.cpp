@@ -251,7 +251,7 @@ std::string check_campaign(const std::string& text, bool must_reject = false) {
     if (u.run.max_sim_time < sim::Duration::zero()) return "max-sim-time outside the clock";
     if (u.run.file_bytes == 0) return "empty object";
     for (const netem::AccessProfile* p : {&u.testbed.wifi, &u.testbed.cellular}) {
-      if (p->owd_down < sim::Duration::zero() || p->owd_up < sim::Duration::zero()) {
+      if (p->owd < sim::Duration::zero()) {
         return "one-way delay outside the clock";
       }
     }
@@ -477,6 +477,17 @@ TEST(ParserFuzzRegression, CampaignNegativeCountIsRejected) {
   for (const char* key : {"users", "seed", "checkpoint-every", "failure-budget", "max-events"}) {
     EXPECT_NE(campaign_error(std::string{key} + " -1\n"), "") << key;
   }
+}
+
+TEST(ParserFuzzRegression, CampaignNegativeSizeIsRejected) {
+  // std::stoull negated "-1" into a 2^64-1 byte object.
+  EXPECT_NE(campaign_error("size -1 1.0\n"), "");
+}
+
+TEST(ParserFuzzRegression, CampaignSizeThatOverflowsIsRejected) {
+  // The unchecked suffix multiply wrapped (2^34 + 1) GiB to 1 GiB.
+  EXPECT_NE(campaign_error("size 17179869185g 1.0\n"), "");
+  EXPECT_EQ(campaign_error("size 17179869183g 1.0\n"), "");  // 2^64 - 2^30 fits
 }
 
 TEST(ParserFuzzRegression, CampaignTimesOutsideTheClockAreRejected) {

@@ -69,9 +69,7 @@ TEST(DropTail, ByteAccountingExact) {
 
 TEST(Codel, NoDropsBelowTarget) {
   PacketPool pool;  // declared before the queue: outlives queued handles
-  CodelQueue q{{.target = sim::Duration::millis(5),
-                .interval = sim::Duration::millis(100),
-                .capacity_bytes = 1 << 20}};
+  CodelQueue q{1 << 20};
   int drops = 0;
   q.set_drop_hook([&](const Packet&) { ++drops; });
   // Packets dequeued 1 ms after enqueue: sojourn < target, never drop.
@@ -85,9 +83,7 @@ TEST(Codel, NoDropsBelowTarget) {
 
 TEST(Codel, DropsOnStandingQueue) {
   PacketPool pool;  // declared before the queue: outlives queued handles
-  CodelQueue q{{.target = sim::Duration::millis(5),
-                .interval = sim::Duration::millis(100),
-                .capacity_bytes = 4 << 20}};
+  CodelQueue q{4 << 20};
   int drops = 0;
   q.set_drop_hook([&](const Packet&) { ++drops; });
   // Build a standing queue: enqueue much faster than dequeue, with every
@@ -105,9 +101,7 @@ TEST(Codel, DropsOnStandingQueue) {
 
 TEST(Codel, RecoversWhenQueueDrains) {
   PacketPool pool;  // declared before the queue: outlives queued handles
-  CodelQueue q{{.target = sim::Duration::millis(5),
-                .interval = sim::Duration::millis(100),
-                .capacity_bytes = 4 << 20}};
+  CodelQueue q{4 << 20};
   // Standing-queue phase.
   double now = 0;
   for (int round = 0; round < 400; ++round) {
@@ -132,9 +126,7 @@ TEST(Codel, RecoversWhenQueueDrains) {
 
 TEST(Codel, HardCapStillBounds) {
   PacketPool pool;  // declared before the queue: outlives queued handles
-  CodelQueue q{{.target = sim::Duration::millis(5),
-                .interval = sim::Duration::millis(100),
-                .capacity_bytes = 4000}};
+  CodelQueue q{4000};
   int drops = 0;
   q.set_drop_hook([&](const Packet&) { ++drops; });
   for (int i = 0; i < 10; ++i) q.enqueue(pkt(pool, 1460), at_ms(0));

@@ -1,6 +1,6 @@
 // Unit tests for the simulation core: time arithmetic, the event queue's
 // ordering/cancellation semantics, deterministic RNG streams, and the
-// campaign thread pool.
+// campaign's parallel index loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/parallel.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
 #include "sim/time.h"
 
 namespace mpr::sim {
@@ -429,67 +429,6 @@ TEST(RngSequence, LogMedianFormMatchesMedianForm) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_EQ(ra.lognormal_median(3.0, 0.8), rb.lognormal_log_median(std::log(3.0), 0.8));
   }
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedJob) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.thread_count(), 1u);
-  bool ran = false;
-  pool.submit([&ran] { ran = true; });
-  pool.wait();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolTest, JobExceptionReachesWait) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, RemainingJobsStillRunAfterAThrow) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count, i] {
-      if (i == 7) throw std::runtime_error{"boom"};
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  EXPECT_EQ(count.load(), 49);
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterAnException) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();  // must not rethrow the already-consumed error
-  EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ParallelForIndex, ThrowRethrownAtLowestIndexEveryJobCount) {

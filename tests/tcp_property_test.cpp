@@ -170,14 +170,14 @@ INSTANTIATE_TEST_SUITE_P(PaperSizes, TcpSizeSweep,
                          });
 
 // ---------------------------------------------------------------------------
-// Sweep: configuration space (ssthresh, delack, sack on/off).
+// Sweep: configuration space (ssthresh, F-RTO on/off).
 
-using ConfigParams = std::tuple<std::uint64_t /*ssthresh*/, bool /*delack*/, bool /*sack*/>;
+using ConfigParams = std::tuple<std::uint64_t /*ssthresh*/, bool /*frto*/>;
 
 class TcpConfigSweep : public ::testing::TestWithParam<ConfigParams> {};
 
 TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
-  const auto [ssthresh, delack, sack] = GetParam();
+  const auto [ssthresh, frto] = GetParam();
   sim::Simulation sim{55};
   net::Network network{sim};
   net::Host server{sim, network, {kServerAddr}};
@@ -196,8 +196,7 @@ TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
 
   TcpConfig cfg;
   cfg.initial_ssthresh = ssthresh;
-  cfg.delayed_ack = delack;
-  cfg.sack_enabled = sack;
+  cfg.frto_enabled = frto;
 
   bool done = false;
   TcpAcceptor acceptor{server, kPort, cfg, [&](TcpEndpoint& ep) {
@@ -215,18 +214,17 @@ TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
   client_ep.connect();
   client_ep.write(100);
   sim.run_while([&] { return !done; }, sim.now() + sim::Duration::seconds(300));
-  EXPECT_TRUE(done) << "ssthresh=" << ssthresh << " delack=" << delack << " sack=" << sack;
+  EXPECT_TRUE(done) << "ssthresh=" << ssthresh << " frto=" << frto;
   EXPECT_EQ(got, 1u << 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, TcpConfigSweep,
     ::testing::Combine(::testing::Values(std::uint64_t{64 * 1024}, kInfiniteSsthresh),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<ConfigParams>& info) {
       return std::string(std::get<0>(info.param) == kInfiniteSsthresh ? "inf" : "s64k") +
-             (std::get<1>(info.param) ? "_delack" : "_nodelack") +
-             (std::get<2>(info.param) ? "_sack" : "_nosack");
+             (std::get<1>(info.param) ? "_frto" : "_nofrto");
     });
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <system_error>
 #include <vector>
 
+#include "experiment/table.h"
+
 namespace mpr::tools {
 
 class Flags {
@@ -72,23 +74,9 @@ class Flags {
                                                       std::uint64_t def) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return def;
-    const std::string& v = it->second;
-    std::uint64_t mult = 1;
-    switch (v.empty() ? '\0' : v.back()) {
-      case 'k': case 'K': mult = 1024; break;
-      case 'm': case 'M': mult = 1024 * 1024; break;
-      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-      default: break;
-    }
-    const char* end = v.data() + v.size() - (mult == 1 ? 0 : 1);
-    std::uint64_t base = 0;
-    const auto [ptr, ec] = std::from_chars(v.data(), end, base);
-    if (ec == std::errc{} && ptr == end && base >= 1 &&
-        base <= std::numeric_limits<std::uint64_t>::max() / mult) {
-      return base * mult;
-    }
+    if (const auto bytes = experiment::parse_size(it->second)) return bytes;
     std::fprintf(stderr, "%s: --%s %s: expected a size of at least 1 byte, digits with an "
-                 "optional k, m or g suffix\n", tool, name.c_str(), v.c_str());
+                 "optional k, m or g suffix\n", tool, name.c_str(), it->second.c_str());
     return std::nullopt;
   }
 

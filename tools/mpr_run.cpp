@@ -52,7 +52,7 @@
 #include "experiment/campaign.h"
 #include "experiment/series.h"
 #include "run_flags.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel.h"
 
 using namespace mpr;
 using namespace mpr::experiment;
