@@ -318,11 +318,11 @@ class MptcpConnection {
   /// dsn -> id of the subflow that most recently stranded it. A map (not a
   /// set) so that when the reinjection *target* dies too, the chunk is
   /// queued again instead of being dropped by the dedup check — a cascading
-  /// failure must not strand data permanently. A sorted flat map: sweeps on
-  /// data-ack progress visit DSNs deterministically, and the on_data_ack
-  /// trim is a tail shift instead of per-node frees (the hotpath audit
-  /// bans allocation in that function's emitted code).
-  tcp::SeqFlatMap<std::uint8_t> reinjected_dsns_;
+  /// failure must not strand data permanently. A SegRing (tcp/seg_ring.h):
+  /// sweeps on data-ack progress visit DSNs deterministically, and the
+  /// on_data_ack trim advances the head instead of freeing nodes (the
+  /// hotpath audit bans allocation in that function's emitted code).
+  tcp::SegRing<std::uint8_t> reinjected_dsns_;
   std::uint64_t reinjected_chunks_{0};
   /// Redundant-scheduler duplicates awaiting a second subflow: every fresh
   /// chunk handed out while the redundant strategy is active is queued here

@@ -66,22 +66,13 @@ bool ReorderBuffer::insert_impl(std::uint64_t dsn, std::uint32_t len, sim::TimeP
   if (dsn > rcv_nxt_) {
     // Out of order: hold it, unless a segment at this DSN is already held.
     // Every held DSN is above rcv_nxt_, so only this branch can find one.
-    auto at = held_.end();
-    if (!held_.empty() && held_.back().dsn >= dsn) {
-      at = std::lower_bound(held_.begin(), held_.end(), dsn,
-                            [](const Held& h, std::uint64_t d) { return h.dsn < d; });
-      if (at->dsn == dsn) {
-        ++duplicates_;
-        return true;
-      }
+    // A duplicate counts as one even when the buffer is full.
+    if (held_.contains(dsn)) {
+      ++duplicates_;
+      return true;
     }
     if (buffered_bytes_ + len > capacity_) return false;
-    const Held h{dsn, arrival, len, subflow_id};
-    if (at == held_.end()) {
-      held_.push_back(h);
-    } else {
-      held_.insert(at, h);
-    }
+    held_.insert(dsn, Held{arrival, len, subflow_id});
     buffered_bytes_ += len;
     max_buffered_ = std::max(max_buffered_, buffered_bytes_);
     return true;
@@ -107,15 +98,16 @@ bool ReorderBuffer::insert_impl(std::uint64_t dsn, std::uint32_t len, sim::TimeP
   // Drain anything this unblocked. Held segments may partially overlap
   // what was just delivered (differently-chunked retransmissions); trim
   // the delivered prefix rather than stalling on an inexact match.
-  while (!held_.empty() && held_.front().dsn <= rcv_nxt_) {
-    const Held h = held_.front();
+  while (!held_.empty() && held_.front().seq <= rcv_nxt_) {
+    const std::uint64_t held_dsn = held_.front().seq;
+    const Held h = held_.front().val;
     held_.pop_front();
     buffered_bytes_ -= h.len;
-    if (h.dsn + h.len <= rcv_nxt_) {
+    if (held_dsn + h.len <= rcv_nxt_) {
       ++duplicates_;  // fully covered by what was delivered meanwhile
       continue;
     }
-    const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - h.dsn);
+    const auto overlap = static_cast<std::uint32_t>(rcv_nxt_ - held_dsn);
     const std::uint32_t fresh = h.len - overlap;
     samples_.push_back(OfoSample{arrival - h.arrival, h.subflow_id, fresh});
     delivered_bytes_ += fresh;

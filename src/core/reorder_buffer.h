@@ -13,6 +13,7 @@
 
 #include "sim/flat_vec.h"
 #include "sim/time.h"
+#include "tcp/seg_ring.h"
 
 namespace mpr::core {
 
@@ -57,7 +58,6 @@ class ReorderBuffer {
                    std::uint8_t subflow_id);
 
   struct Held {
-    std::uint64_t dsn{0};
     sim::TimePoint arrival;
     std::uint32_t len{0};
     std::uint8_t subflow_id{0};
@@ -65,13 +65,13 @@ class ReorderBuffer {
 
   std::uint64_t capacity_;
   std::uint64_t rcv_nxt_{0};
-  // Held segments, sorted by DSN; every held DSN is above rcv_nxt_ (the
+  // Held segments keyed by DSN; every held DSN is above rcv_nxt_ (the
   // drain pops each one the in-order edge reaches). Arrivals past the back
   // append; the rest are placed by binary search and shift the tail up;
   // the drain pops the front. Measured over the perfbench workloads and the
   // paper campaigns, 85-100% of holds append, a mid-insert shifts 16-27
   // records on average, and the largest shift seen was 2 854 records.
-  sim::FlatDeque<Held> held_;
+  tcp::SegRing<Held> held_;
   std::uint64_t buffered_bytes_{0};
   std::uint64_t max_buffered_{0};
   std::uint64_t delivered_bytes_{0};

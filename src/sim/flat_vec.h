@@ -10,10 +10,9 @@
 //
 // FlatVec and FlatRing pin the structure instead: the fast path is a
 // bounds check plus a store, and every allocation lives in a
-// [[gnu::noinline, gnu::cold]] member the caller merely *calls* — the same
-// shape tcp/seg_ring.h already uses for SegRing::grow(). Amortized growth
-// still happens (pools and queues size themselves to their high-water
-// mark); it just can never be inlined back into audited code.
+// [[gnu::noinline, gnu::cold]] member the caller merely *calls*. Amortized
+// growth still happens (pools and queues size themselves to their
+// high-water mark); it just can never be inlined back into audited code.
 //
 //   FlatVec<T>   contiguous vector for trivially-copyable records (heap
 //                records, slot metadata, free lists). push_back_unchecked
@@ -25,11 +24,12 @@
 //                whose block map allocates on push and frees on pop right
 //                in the middle of enqueue/dequeue.
 //   FlatDeque<T> deque of trivially-copyable records supporting iteration,
-//                interior erase and interior insert: the MPTCP reinjection
-//                queues, and the connection-level reorder buffer, which
-//                keeps its held segments DSN-sorted in one. A FlatVec
-//                window [head, size): pop_front advances head and compacts
-//                lazily; erase and insert shift the contiguous tail.
+//                indexing, interior erase and interior insert: the MPTCP
+//                reinjection queues, and tcp::SegRing (tcp/seg_ring.h), the
+//                sequence-keyed store of the send window, the out-of-order
+//                queue, the reinjection ledger and the reorder buffer. A
+//                FlatVec window [head, size): pop_front advances head and
+//                compacts lazily; erase and insert shift the contiguous tail.
 #pragma once
 
 #include <algorithm>
@@ -278,15 +278,18 @@ class FlatDeque {
   [[nodiscard]] std::size_t size() const { return vec_.size() - head_; }
   [[nodiscard]] bool empty() const { return head_ == vec_.size(); }
 
+  [[nodiscard]] T& operator[](std::size_t i) { return vec_[head_ + i]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return vec_[head_ + i]; }
   [[nodiscard]] T& front() { return vec_[head_]; }
   [[nodiscard]] const T& front() const { return vec_[head_]; }
   [[nodiscard]] const T& back() const { return vec_.back(); }
 
   void push_back(const T& v) { vec_.push_back(v); }
 
-  void pop_front() {
-    assert(!empty());
-    ++head_;
+  /// Drops the first `n` elements (n <= size).
+  void pop_front(std::size_t n = 1) {
+    assert(n <= size());
+    head_ += n;
     if (head_ == vec_.size()) {
       clear();
     } else if (head_ >= kCompactAt && head_ * 2 >= vec_.size()) {

@@ -521,8 +521,7 @@ void TcpEndpoint::process_data_side(const net::Packet& p) {
     } else if (seq > rcv_nxt_) {
       ++metrics_.out_of_order_packets;
       out_of_order = true;
-      if (!ooo_.contains(seq)) {
-        ooo_.insert(seq, RxSeg{p.payload_bytes, p.tcp.dss_opt()});
+      if (ooo_.insert(seq, RxSeg{p.payload_bytes, p.tcp.dss_opt()})) {
         ooo_bytes_ += p.payload_bytes;
       }
     } else if (seq + p.payload_bytes > rcv_nxt_) {
@@ -563,14 +562,14 @@ void TcpEndpoint::deliver_in_order() {
       // Fully superseded by an overlapping (re-segmented) delivery; a stale
       // head entry must not block the rest of the queue.
       ooo_bytes_ -= head.val.len;
-      ooo_.erase_at(0);
+      ooo_.pop_front();
       continue;
     }
     if (head.seq > rcv_nxt_) break;
     const std::uint64_t seq = head.seq;
     const RxSeg seg = head.val;
     ooo_bytes_ -= seg.len;
-    ooo_.erase_at(0);
+    ooo_.pop_front();
     deliver_from(seq, seg.len, seg.dss);
   }
 }

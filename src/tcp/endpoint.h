@@ -257,7 +257,7 @@ class TcpEndpoint : public FlowCc {
   TcpState state_{TcpState::kClosed};
   FlowMetrics metrics_;
 
-  // Sender. The retransmission state lives in a flat ring (tcp/seg_ring.h):
+  // Sender. The retransmission state is a SegRing (tcp/seg_ring.h):
   // segments are appended in sequence order at snd_nxt_ and retired from the
   // front by cumulative ACKs, so no tree is needed — every ACK-side scan is
   // a linear walk over contiguous memory.
@@ -298,10 +298,11 @@ class TcpEndpoint : public FlowCc {
   sim::EventId rto_timer_{sim::kInvalidEventId};
   sim::TimePoint syn_sent_time_;
 
-  // Receiver. Out-of-order segments arrive sparsely and stay few (bounded
-  // by the receive window), so a sorted flat vector beats a tree here.
+  // Receiver. Out-of-order segments stay few (bounded by the receive
+  // window), nearly all arrive past the highest one held, and the in-order
+  // drain retires them from the front, so they live in a SegRing too.
   std::uint64_t rcv_nxt_{0};
-  SeqFlatMap<RxSeg> ooo_;
+  SegRing<RxSeg> ooo_;
   std::uint64_t ooo_bytes_{0};
   std::uint32_t segs_since_ack_{0};
   std::uint32_t quickack_left_{kQuickackSegments};

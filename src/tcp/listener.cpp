@@ -1,5 +1,6 @@
 #include "tcp/listener.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -23,33 +24,19 @@ TcpAcceptor::TcpAcceptor(net::Host& host, std::uint16_t port, TcpConfig config,
       host, port, [this](const net::Packet& syn) { on_syn(syn); });
 }
 
-std::size_t TcpAcceptor::lower_bound(const net::FlowKey& key) const {
-  std::size_t lo = 0;
-  std::size_t hi = connections_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (connections_[mid].key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 void TcpAcceptor::on_syn(const net::Packet& syn) {
   const net::SocketAddr local{syn.dst, syn.tcp.dst_port};
   const net::SocketAddr remote{syn.src, syn.tcp.src_port};
   const net::FlowKey key{local, remote};
-  const std::size_t i = lower_bound(key);
-  if (i < connections_.size() && connections_[i].key == key) {
+  const auto at = std::lower_bound(connections_.begin(), connections_.end(), key,
+                                   [](const Conn& c, const net::FlowKey& k) { return c.key < k; });
+  if (at != connections_.end() && at->key == key) {
     return;  // duplicate SYN; endpoint handles it
   }
 
   auto ep = std::make_unique<TcpEndpoint>(host_, local, remote, config_);
   TcpEndpoint& ref = *ep;
-  connections_.insert(connections_.begin() + static_cast<std::ptrdiff_t>(i),
-                      Conn{key, std::move(ep)});
+  connections_.insert(at, Conn{key, std::move(ep)});
   ref.accept_syn(syn);
   if (on_accept_) on_accept_(ref);
 }

@@ -52,8 +52,6 @@ class TcpAcceptor {
   };
 
   void on_syn(const net::Packet& syn);
-  /// Index of the first entry with entry.key >= key (== size() if none).
-  [[nodiscard]] std::size_t lower_bound(const net::FlowKey& key) const;
 
   net::Host& host_;
   TcpConfig config_;

@@ -1,7 +1,10 @@
-// Flat segment-container tests: ring wraparound, growth with a wrapped
-// head, binary-search correctness against a std::map reference, and the
-// SeqFlatMap insert/erase/order contract.
+// SegRing tests: append/pop across FlatDeque's compaction point, growth
+// with a non-zero head, binary-search correctness against a std::map
+// reference, the insert/drain contract of the out-of-order stores, and a
+// seeded diff of every operation against a std::map.
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <random>
 
@@ -32,10 +35,11 @@ TEST(SegRingTest, PushFindPopBasics) {
   EXPECT_EQ(r.find(10), nullptr);
 }
 
-TEST(SegRingTest, WrapsAroundWithoutGrowing) {
-  // Interleave pushes and pops so head_ laps the buffer several times while
-  // the population stays below the initial capacity (64): steady-state flow
-  // behavior, which must not allocate (ASan/valgrind cover the rest).
+TEST(SegRingTest, SteadyAppendAndPopPastCompaction) {
+  // A steady send window: three appends, three pops, a thousand times. The
+  // head passes FlatDeque's 16-pop compaction point again and again while
+  // the population stays at most three, so every compaction must carry
+  // the live records down intact.
   SegRing<std::uint64_t> r;
   std::uint64_t next = 0;
   std::uint64_t oldest = 0;
@@ -45,8 +49,10 @@ TEST(SegRingTest, WrapsAroundWithoutGrowing) {
       ++next;
     }
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(r.front().seq, oldest);
+      ASSERT_EQ(r.front().seq, oldest);
       EXPECT_EQ(r.front().val, oldest * 7);
+      ASSERT_NE(r.find(next - 1), nullptr);
+      EXPECT_EQ(*r.find(next - 1), (next - 1) * 7);
       r.pop_front();
       ++oldest;
     }
@@ -54,25 +60,26 @@ TEST(SegRingTest, WrapsAroundWithoutGrowing) {
   EXPECT_TRUE(r.empty());
 }
 
-TEST(SegRingTest, GrowsWithWrappedHead) {
+TEST(SegRingTest, GrowsWithNonZeroHead) {
+  // 40 appends, 15 pops (below the compaction point, so the head stays at
+  // 15), then growth well past the first block: order and values survive.
   SegRing<int> r;
-  // Advance head so the live region wraps, then force growth past the
-  // initial capacity and verify order survived re-linearization.
   for (std::uint64_t s = 0; s < 40; ++s) r.push_back(s, static_cast<int>(s));
-  for (int i = 0; i < 30; ++i) r.pop_front();  // head at 30, count 10
+  for (int i = 0; i < 15; ++i) r.pop_front();
   for (std::uint64_t s = 40; s < 200; ++s) r.push_back(s, static_cast<int>(s));
-  ASSERT_EQ(r.size(), 170u);
+  ASSERT_EQ(r.size(), 185u);
   for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_EQ(r.at(i).seq, 30 + i);
-    EXPECT_EQ(r.at(i).val, static_cast<int>(30 + i));
+    EXPECT_EQ(r.at(i).seq, 15 + i);
+    EXPECT_EQ(r.at(i).val, static_cast<int>(15 + i));
   }
   ASSERT_NE(r.find(123), nullptr);
   EXPECT_EQ(*r.find(123), 123);
+  EXPECT_EQ(r.find(14), nullptr);
 }
 
 TEST(SegRingTest, LowerBoundMatchesMapReference) {
   // Sparse, irregular seq gaps (like MSS-sized segments with a FIN): the
-  // ring's binary search must agree with std::map::lower_bound everywhere.
+  // store's binary search must agree with std::map::lower_bound everywhere.
   std::mt19937_64 rng{42};
   SegRing<int> r;
   std::map<std::uint64_t, int> ref;
@@ -94,12 +101,12 @@ TEST(SegRingTest, LowerBoundMatchesMapReference) {
   }
 }
 
-TEST(SeqFlatMapTest, InsertKeepsOrderAndDedups) {
-  SeqFlatMap<char> m;
-  m.insert(50, 'c');
-  m.insert(10, 'a');
-  m.insert(30, 'b');
-  m.insert(30, 'D');  // duplicate: first insert wins, like map::emplace
+TEST(SegRingTest, InsertKeepsOrderAndDedups) {
+  SegRing<char> m;
+  EXPECT_TRUE(m.insert(50, 'c'));
+  EXPECT_TRUE(m.insert(10, 'a'));
+  EXPECT_TRUE(m.insert(30, 'b'));
+  EXPECT_FALSE(m.insert(30, 'D'));  // first insert wins, like map::emplace
   ASSERT_EQ(m.size(), 3u);
   EXPECT_EQ(m.at(0).seq, 10u);
   EXPECT_EQ(m.at(1).seq, 30u);
@@ -107,26 +114,26 @@ TEST(SeqFlatMapTest, InsertKeepsOrderAndDedups) {
   EXPECT_EQ(m.at(2).seq, 50u);
   EXPECT_TRUE(m.contains(30));
   EXPECT_FALSE(m.contains(31));
-  m.erase_at(0);
+  EXPECT_FALSE(m.contains(51));
+  m.pop_front();
   EXPECT_EQ(m.front().seq, 30u);
   EXPECT_EQ(m.size(), 2u);
 }
 
-TEST(SeqFlatMapTest, RandomizedAgainstMapReference) {
+TEST(SegRingTest, RandomizedAgainstMapReference) {
   // Out-of-order arrival pattern: random inserts (with duplicates) and
-  // front-biased erases, mirrored into a std::map.
+  // front drains, mirrored into a std::map.
   std::mt19937_64 rng{7};
-  SeqFlatMap<int> m;
+  SegRing<int> m;
   std::map<std::uint64_t, int> ref;
   for (int round = 0; round < 3000; ++round) {
     const auto op = rng() % 3;
     if (op < 2 || ref.empty()) {
       const std::uint64_t seq = rng() % 200;
       const int val = static_cast<int>(rng() % 1000);
-      m.insert(seq, val);
-      ref.emplace(seq, val);
+      EXPECT_EQ(m.insert(seq, val), ref.emplace(seq, val).second);
     } else {
-      m.erase_at(0);
+      m.pop_front();
       ref.erase(ref.begin());
     }
     ASSERT_EQ(m.size(), ref.size());
@@ -136,6 +143,74 @@ TEST(SeqFlatMapTest, RandomizedAgainstMapReference) {
     EXPECT_EQ(m.at(i).seq, seq);
     EXPECT_EQ(m.at(i).val, val);
     ++i;
+  }
+}
+
+TEST(SegRingTest, EveryOperationMatchesMapReference) {
+  // Seeded diff of every operation against a std::map. Keys drift upward
+  // like a sequence space: appends past the back, inserts into the window
+  // (some at a held seq), front pops and cumulative sweeps. After each
+  // operation the size, the order and every stored value must match, and
+  // so must a find, a contains and a lower_bound probe.
+  std::mt19937_64 rng{2013};
+  SegRing<std::uint32_t> r;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  std::uint64_t base = 0;  // lowest seq any operation targets
+  std::uint64_t top = 0;   // highest seq stored or swept to
+  for (int step = 0; step < 4000; ++step) {
+    const auto val = static_cast<std::uint32_t>(rng());
+    switch (rng() % 6) {
+      case 0:
+      case 1: {  // append past the back
+        top += 1 + rng() % 8;
+        r.push_back(top, val);
+        ref.emplace(top, val);
+        break;
+      }
+      case 2: {  // insert anywhere in [base, top + 4), duplicates included
+        const std::uint64_t seq = base + rng() % (top - base + 4);
+        top = std::max(top, seq);
+        EXPECT_EQ(r.insert(seq, val), ref.emplace(seq, val).second) << "step " << step;
+        break;
+      }
+      case 3: {
+        if (ref.empty()) break;
+        r.pop_front();
+        ref.erase(ref.begin());
+        break;
+      }
+      case 4: {  // cumulative sweep up to a point inside or past the window
+        base += rng() % 12;
+        r.erase_below(base);
+        ref.erase(ref.begin(), ref.lower_bound(base));
+        top = std::max(top, base);
+        break;
+      }
+      default: {  // write through find, as retransmit() marks a segment
+        const std::uint64_t seq = base + rng() % (top - base + 2);
+        std::uint32_t* v = r.find(seq);
+        const auto it = ref.find(seq);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "step " << step;
+        if (v != nullptr) {
+          *v = val;
+          it->second = val;
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(r.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(r.empty(), ref.empty());
+    std::size_t i = 0;
+    for (const auto& [seq, v] : ref) {
+      ASSERT_EQ(r.at(i).seq, seq) << "step " << step << " index " << i;
+      ASSERT_EQ(r.at(i).val, v) << "step " << step << " index " << i;
+      ++i;
+    }
+    const std::uint64_t probe = base + rng() % (top - base + 3);
+    const auto lb = ref.lower_bound(probe);
+    EXPECT_EQ(r.lower_bound(probe), static_cast<std::size_t>(std::distance(ref.begin(), lb)));
+    EXPECT_EQ(r.contains(probe), ref.count(probe) == 1);
+    EXPECT_EQ(r.find(probe) != nullptr, ref.count(probe) == 1);
   }
 }
 

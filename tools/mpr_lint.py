@@ -30,8 +30,9 @@ cuts by rule:
                   std::map/std::set (and multi variants) in hot-path files
                   (src/net, src/tcp, src/core, src/sim): a red-black node
                   per element is the allocation+pointer-chase cost PR 6
-                  removed from the scheduler and the TCP endpoints. Use a
-                  flat sorted vector / ring (tcp/seg_ring.h) or justify the
+                  removed from the scheduler and the TCP endpoints. Key a
+                  64-bit sequence number with tcp::SegRing (tcp/seg_ring.h),
+                  anything else with a flat sorted vector, or justify the
                   tree with `mpr-lint: allow(ordered-container)`.
   hot-struct-optional
                   std::optional data members in the per-packet hot structs
@@ -340,8 +341,9 @@ def lint_file(path: Path, rel: str, unordered_iter: list[tuple[re.Pattern, str]]
                 "allow(hot-struct-optional))")
         if in_hot_path_scope and ORDERED_CONTAINER_RE.search(line):
             add(idx, "ordered-container",
-                "std::map/std::set in a hot-path file (node per element; use a flat "
-                "sorted vector or tcp/seg_ring.h, or justify with allow(ordered-container))")
+                "std::map/std::set in a hot-path file (node per element; use "
+                "tcp::SegRing for sequence keys or a flat sorted vector, or justify "
+                "with allow(ordered-container))")
         if in_raw_new_scope:
             if (NEW_RE.search(line) or DELETE_RE.search(line)) and not EQ_DELETE_RE.search(line):
                 add(idx, "raw-new", "raw new/delete in the packet hot path (use PacketPool / owned containers)")
