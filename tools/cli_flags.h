@@ -1,19 +1,36 @@
 // Tiny --flag=value / --flag value parser for the CLI tools.
+//
+// Every getter records the name it was asked for. Once a tool has read all
+// the flags it honours, all_read() refuses the rest, so a typo such as
+// --carier exits 1 instead of running the default.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
 #include "experiment/table.h"
 
 namespace mpr::tools {
+
+/// A finite decimal number spanning all of `s`: no leading space or '+',
+/// no trailing characters, no hex, nan or inf.
+inline std::optional<double> parse_number(std::string_view s) {
+  double v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
 
 class Flags {
  public:
@@ -36,31 +53,31 @@ class Flags {
     }
   }
 
-  [[nodiscard]] bool has(const std::string& name) const { return values_.contains(name); }
+  [[nodiscard]] bool has(const std::string& name) const { return find(name) != nullptr; }
 
   [[nodiscard]] std::string get(const std::string& name, const std::string& def = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : it->second;
+    const std::string* v = find(name);
+    return v == nullptr ? def : *v;
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return def;
-    return it->second != "false" && it->second != "0";
+    const std::string* v = find(name);
+    if (v == nullptr) return def;
+    return *v != "false" && *v != "0";
   }
 
   /// A count flag: decimal digits only, within [min, max].
   [[nodiscard]] std::optional<std::uint64_t> get_count(
       const char* tool, const std::string& name, std::uint64_t def, std::uint64_t min,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return def;
+    const std::string* s = find(name);
+    if (s == nullptr) return def;
     std::uint64_t v = 0;
-    const char* end = it->second.data() + it->second.size();
-    const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
+    const char* end = s->data() + s->size();
+    const auto [ptr, ec] = std::from_chars(s->data(), end, v);
     if (ec == std::errc{} && ptr == end && v >= min && v <= max) return v;
     std::fprintf(stderr, "%s: --%s %s: expected an integer >= %llu", tool, name.c_str(),
-                 it->second.c_str(), static_cast<unsigned long long>(min));
+                 s->c_str(), static_cast<unsigned long long>(min));
     if (max != std::numeric_limits<std::uint64_t>::max()) {
       std::fprintf(stderr, " and <= %llu", static_cast<unsigned long long>(max));
     }
@@ -72,25 +89,22 @@ class Flags {
   /// k/m/g suffix (powers of 1024), at least 1 byte.
   [[nodiscard]] std::optional<std::uint64_t> get_size(const char* tool, const std::string& name,
                                                       std::uint64_t def) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return def;
-    if (const auto bytes = experiment::parse_size(it->second)) return bytes;
+    const std::string* s = find(name);
+    if (s == nullptr) return def;
+    if (const auto bytes = experiment::parse_size(*s)) return bytes;
     std::fprintf(stderr, "%s: --%s %s: expected a size of at least 1 byte, digits with an "
-                 "optional k, m or g suffix\n", tool, name.c_str(), it->second.c_str());
+                 "optional k, m or g suffix\n", tool, name.c_str(), s->c_str());
     return std::nullopt;
   }
 
   /// A duration flag in seconds, within [0, max_s].
   [[nodiscard]] std::optional<double> get_seconds(const char* tool, const std::string& name,
                                                   double def, double max_s) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return def;
-    double v = 0;
-    const char* end = it->second.data() + it->second.size();
-    const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
-    if (ec == std::errc{} && ptr == end && v >= 0 && v <= max_s) return v;
+    const std::string* s = find(name);
+    if (s == nullptr) return def;
+    if (const auto v = parse_number(*s); v && *v >= 0 && *v <= max_s) return *v;
     std::fprintf(stderr, "%s: --%s %s: expected seconds in [0, %g]\n", tool, name.c_str(),
-                 it->second.c_str(), max_s);
+                 s->c_str(), max_s);
     return std::nullopt;
   }
 
@@ -110,11 +124,35 @@ class Flags {
     return parsed;
   }
 
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
+  /// Call once the tool has read every flag it honours. A flag no getter
+  /// asked for prints "<tool>: unknown flag --<name>", a positional
+  /// argument "<tool>: unexpected argument <arg>", to stderr; either makes
+  /// this false, so the tool can exit 1.
+  [[nodiscard]] bool all_read(const char* tool) const {
+    for (const auto& [name, value] : values_) {
+      if (!read_.contains(name)) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", tool, name.c_str());
+        return false;
+      }
+    }
+    if (!positional_.empty()) {
+      std::fprintf(stderr, "%s: unexpected argument %s\n", tool, positional_.front().c_str());
+      return false;
+    }
+    return true;
+  }
 
  private:
+  /// The value of --name, or nullptr; records that the tool reads it.
+  [[nodiscard]] const std::string* find(const std::string& name) const {
+    read_.insert(name);
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace mpr::tools

@@ -26,9 +26,9 @@
 //   --reps     repetitions (default 1)
 //   --jobs     worker threads for the reps (default MPR_JOBS, else all cores)
 //   --json     machine-readable output
-//   An unknown --mode, --carrier, --cc or --sched value, or a malformed or
+//   An unknown --mode, --carrier, --cc or --sched value, a malformed or
 //   out-of-range --size, --seed, --max-sim-time, --max-events, --reps or
-//   --jobs, exits 1.
+//   --jobs, a flag not listed here or a positional argument exits 1.
 //   mpr_trace takes the same flags but --reps, --jobs and --json.
 //
 // Population-campaign mode (see EXPERIMENTS.md "Population campaigns"):
@@ -39,6 +39,7 @@
 //   --checkpoint checkpoint path (written atomically every checkpoint-every
 //                users and on SIGINT/SIGTERM)
 //   --resume     continue from --checkpoint instead of starting over
+//   --jobs, --json as above; any other flag exits 1.
 //   Exit codes: 0 complete, 1 error, 2 failure budget exhausted,
 //               128+signal when interrupted (checkpoint written first).
 #include <algorithm>
@@ -133,6 +134,8 @@ int run_campaign_cli(const tools::Flags& flags) {
   opt.resume = flags.get_bool("resume");
   opt.jobs = *jobs;
   opt.handle_signals = true;
+  const bool json = flags.get_bool("json");
+  if (!flags.all_read("mpr_run")) return 1;
 
   const std::optional<CampaignResult> res = run_campaign(spec, opt, &error);
   if (!res) {
@@ -141,7 +144,7 @@ int run_campaign_cli(const tools::Flags& flags) {
   }
   const CampaignAggregates& agg = res->agg;
 
-  if (flags.get_bool("json")) {
+  if (json) {
     std::printf("{\"users\":%llu,\"users_done\":%llu,\"completed\":%llu,\"timeouts\":%llu,"
                 "\"quarantined\":%llu,\"delivered_bytes\":%llu,"
                 "\"interrupted\":%s,\"budget_exhausted\":%s,",
@@ -218,9 +221,9 @@ int main(int argc, char** argv) {
   const auto reps_flag =
       flags.get_count("mpr_run", "reps", 1, 1, std::numeric_limits<int>::max());
   const auto jobs_flag = get_jobs(flags);
-  if (!reps_flag || !jobs_flag) return 1;
-  const int reps = static_cast<int>(*reps_flag);
   const bool json = flags.get_bool("json");
+  if (!reps_flag || !jobs_flag || !flags.all_read("mpr_run")) return 1;
+  const int reps = static_cast<int>(*reps_flag);
 
   // Reps are independently-seeded simulations: run them across the worker
   // pool, then print in rep order so output is identical at any job count.

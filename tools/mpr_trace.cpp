@@ -8,7 +8,8 @@
 // Takes mpr_run's single-run flags (--mode, --carrier, --cc, --sched,
 // --size, --seed, --hotspot, --scenario, ...; see tools/mpr_run.cpp) and
 // traces the run `mpr_run` reports for them: its `mpr_run --json` line goes
-// to stderr. Only --reps, --jobs and --json are mpr_run's alone.
+// to stderr. Only --reps, --jobs and --json are mpr_run's alone. Any flag
+// not named here or there, or a positional argument, exits 1.
 #include <cstdio>
 #include <string>
 
@@ -23,6 +24,10 @@ int main(int argc, char** argv) {
   const tools::Flags flags{argc, argv};
   std::optional<tools::RunFlags> parsed = tools::parse_run_flags(flags, "mpr_trace");
   if (!parsed) return 1;
+  const bool pcap = flags.has("pcap");
+  const std::string pcap_path = flags.get("pcap");
+  const bool capture_send = flags.get("capture", "deliver") == "send";
+  if (!flags.all_read("mpr_trace")) return 1;
   parsed->testbed.capture_trace = true;
 
   experiment::Session session{parsed->testbed, parsed->run};
@@ -30,17 +35,14 @@ int main(int argc, char** argv) {
   const analysis::PacketTrace& trace = *session.testbed().trace();
   std::fprintf(stderr, "%zu trace records\n", trace.size());
 
-  if (flags.has("pcap")) {
+  if (pcap) {
     analysis::PcapWriteOptions opts;
-    if (flags.get("capture", "deliver") == "send") {
-      opts.kind = net::TraceEvent::Kind::kSend;
-    }
-    const std::string path = flags.get("pcap");
-    if (!analysis::write_pcap(trace, path, opts)) {
-      std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    if (capture_send) opts.kind = net::TraceEvent::Kind::kSend;
+    if (!analysis::write_pcap(trace, pcap_path, opts)) {
+      std::fprintf(stderr, "failed to write %s\n", pcap_path.c_str());
       return 1;
     }
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
+    std::fprintf(stderr, "wrote %s\n", pcap_path.c_str());
     return 0;
   }
 

@@ -20,7 +20,8 @@ struct RunFlags {
 };
 
 /// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
-/// Returns false on an unknown name or malformed weight list.
+/// Returns false on an unknown name or malformed weight list; each weight
+/// is one whole finite number > 0 (parse_number).
 inline bool parse_sched(const std::string& spec, experiment::RunConfig& rc) {
   std::string name = spec;
   std::string weight_list;
@@ -39,13 +40,9 @@ inline bool parse_sched(const std::string& spec, experiment::RunConfig& rc) {
     const std::size_t comma = weight_list.find(',', pos);
     const std::string tok =
         weight_list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    try {
-      const double w = std::stod(tok);
-      if (w <= 0) return false;
-      rc.scheduler_weights.push_back(w);
-    } catch (...) {
-      return false;
-    }
+    const auto w = parse_number(tok);
+    if (!w || *w <= 0) return false;
+    rc.scheduler_weights.push_back(*w);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
