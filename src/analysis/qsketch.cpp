@@ -2,59 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
+
+#include "analysis/byte_codec.h"
 
 namespace mpr::analysis {
 
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_i32(std::string& out, std::int32_t v) {
-  const auto u = static_cast<std::uint32_t>(v);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-}
-
-void put_double(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-bool get_u64(const char** cursor, const char* end, std::uint64_t* v) {
-  if (end - *cursor < 8) return false;
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(static_cast<unsigned char>((*cursor)[i])) << (8 * i);
-  }
-  *cursor += 8;
-  *v = out;
-  return true;
-}
-
-bool get_i32(const char** cursor, const char* end, std::int32_t* v) {
-  if (end - *cursor < 4) return false;
-  std::uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(static_cast<unsigned char>((*cursor)[i])) << (8 * i);
-  }
-  *cursor += 4;
-  *v = static_cast<std::int32_t>(out);
-  return true;
-}
-
-bool get_double(const char** cursor, const char* end, double* v) {
-  std::uint64_t bits = 0;
-  if (!get_u64(cursor, end, &bits)) return false;
-  std::memcpy(v, &bits, sizeof *v);
-  return true;
-}
 
 }  // namespace
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/byte_codec.h"
 #include "check/audit.h"
 #include "experiment/series.h"
 #include "experiment/table.h"
@@ -18,39 +19,18 @@ namespace mpr::experiment {
 
 namespace {
 
-// --- little-endian encoding helpers (shared layout with the checkpoint) ---
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-bool get_u64(const char** cursor, const char* end, std::uint64_t* v) {
-  if (end - *cursor < 8) return false;
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(static_cast<unsigned char>((*cursor)[i])) << (8 * i);
-  }
-  *cursor += 8;
-  *v = out;
-  return true;
-}
-
-bool get_str(const char** cursor, const char* end, std::string* s) {
-  std::uint64_t len = 0;
-  if (!get_u64(cursor, end, &len)) return false;
-  if (len > static_cast<std::uint64_t>(end - *cursor)) return false;
-  s->assign(*cursor, static_cast<std::size_t>(len));
-  *cursor += len;
-  return true;
-}
+using analysis::get_str;
+using analysis::get_u64;
+using analysis::put_str;
+using analysis::put_u64;
 
 // --- FNV-1a (spec hash + checkpoint checksum) ---
 
+// One digit short of the FNV-1a offset basis 14695981039346656037 that
+// sim/rng.cpp uses, and kept that way: every spec hash and checkpoint
+// checksum ever written is keyed by this value. Correcting it would refuse
+// every existing checkpoint and moving rng.cpp onto it would re-key every
+// seed, so the two FNV helpers stay apart.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
