@@ -39,6 +39,14 @@ PathStats& bucket(RunResult& r, net::IpAddr client_side_addr) {
   return client_side_addr == kClientWifiAddr ? r.wifi : r.cellular;
 }
 
+/// Adds what a server-side sender reports for its path: packets sent,
+/// retransmissions and the RTT samples in ms.
+void add_sender_stats(PathStats& ps, const tcp::FlowMetrics& m) {
+  ps.data_packets_sent += m.data_packets_sent;
+  ps.rexmit_packets += m.rexmit_packets;
+  for (const sim::Duration d : m.rtt_samples) ps.rtt_ms.push_back(d.to_millis());
+}
+
 void collect_mptcp(RunResult& result, core::MptcpConnection& client_conn,
                    core::MptcpConnection* server_conn) {
   for (core::MptcpSubflow* sf : client_conn.subflows()) {
@@ -48,12 +56,7 @@ void collect_mptcp(RunResult& result, core::MptcpConnection& client_conn,
   }
   if (server_conn != nullptr) {
     for (core::MptcpSubflow* sf : server_conn->subflows()) {
-      PathStats& ps = bucket(result, sf->remote().addr);
-      ps.data_packets_sent += sf->metrics().data_packets_sent;
-      ps.rexmit_packets += sf->metrics().rexmit_packets;
-      for (const sim::Duration d : sf->metrics().rtt_samples) {
-        ps.rtt_ms.push_back(d.to_millis());
-      }
+      add_sender_stats(bucket(result, sf->remote().addr), sf->metrics());
     }
     result.penalizations = server_conn->penalizations() + client_conn.penalizations();
     result.reinjections = server_conn->reinjected_chunks() + client_conn.reinjected_chunks();
@@ -288,12 +291,7 @@ void Session::collect(RunResult& result) {
     // path stats from there so loss/RTT reporting survives fallback.
     if (server_conn == nullptr) {
       for (tcp::TcpEndpoint* ep : srv.tcp_fallback_connections()) {
-        PathStats& ps = bucket(result, ep->remote().addr);
-        ps.data_packets_sent += ep->metrics().data_packets_sent;
-        ps.rexmit_packets += ep->metrics().rexmit_packets;
-        for (const sim::Duration d : ep->metrics().rtt_samples) {
-          ps.rtt_ms.push_back(d.to_millis());
-        }
+        add_sender_stats(bucket(result, ep->remote().addr), ep->metrics());
       }
     }
   } else {
@@ -303,10 +301,7 @@ void Session::collect(RunResult& result) {
     ps.bytes_received = sp_client_->endpoint().metrics().bytes_received;
     result.delivered_bytes = sp_client_->endpoint().metrics().bytes_received;
     if (!sp_server_->connections().empty()) {
-      const tcp::FlowMetrics& m = sp_server_->connections().front()->metrics();
-      ps.data_packets_sent = m.data_packets_sent;
-      ps.rexmit_packets = m.rexmit_packets;
-      for (const sim::Duration d : m.rtt_samples) ps.rtt_ms.push_back(d.to_millis());
+      add_sender_stats(ps, sp_server_->connections().front()->metrics());
     }
   }
 }

@@ -20,22 +20,6 @@ void normalize_link(std::string& link) {
 
 }  // namespace
 
-std::string to_string(FaultEvent::Kind k) {
-  switch (k) {
-    case FaultEvent::Kind::kOutage: return "outage";
-    case FaultEvent::Kind::kRestore: return "restore";
-    case FaultEvent::Kind::kRateScale: return "rate";
-    case FaultEvent::Kind::kDelayAdd: return "delay";
-    case FaultEvent::Kind::kBurstLoss: return "burstloss";
-    case FaultEvent::Kind::kLossClear: return "lossclear";
-    case FaultEvent::Kind::kIfaceDown: return "ifdown";
-    case FaultEvent::Kind::kIfaceUp: return "ifup";
-    case FaultEvent::Kind::kMiddlebox: return "mbox";
-    case FaultEvent::Kind::kScheduler: return "sched";
-  }
-  return "?";
-}
-
 FaultSchedule& FaultSchedule::add(FaultEvent ev) {
   normalize_link(ev.link);
   events_.push_back(std::move(ev));

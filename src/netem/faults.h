@@ -83,8 +83,6 @@ struct FaultEvent {
   std::vector<double> weights{};  // kScheduler: weighted-strategy shares
 };
 
-[[nodiscard]] std::string to_string(FaultEvent::Kind k);
-
 /// An ordered scenario timeline. Value type: copy it into a RunConfig and
 /// every repetition replays the same script on its own simulation.
 class FaultSchedule {
