@@ -11,6 +11,7 @@
 // to stderr. Only --reps, --jobs and --json are mpr_run's alone. Any flag
 // not named here or there, or a positional argument, exits 1.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "analysis/pcap.h"
@@ -26,7 +27,21 @@ int main(int argc, char** argv) {
   if (!parsed) return 1;
   const bool pcap = flags.has("pcap");
   const std::string pcap_path = flags.get("pcap");
-  const bool capture_send = flags.get("capture", "deliver") == "send";
+  const auto capture = flags.get_choice(
+      "mpr_trace", "capture", "deliver",
+      [](const std::string& v) -> std::optional<net::TraceEvent::Kind> {
+        if (v == "send") return net::TraceEvent::Kind::kSend;
+        if (v == "deliver") return net::TraceEvent::Kind::kDeliver;
+        return std::nullopt;
+      },
+      "send or deliver");
+  if (!capture) return 1;
+  // The text dump prints every record kind, so --capture picks only what
+  // goes into the pcap file.
+  if (flags.has("capture") && !pcap) {
+    std::fprintf(stderr, "mpr_trace: --capture needs --pcap\n");
+    return 1;
+  }
   if (!flags.all_read("mpr_trace")) return 1;
   parsed->testbed.capture_trace = true;
 
@@ -37,7 +52,7 @@ int main(int argc, char** argv) {
 
   if (pcap) {
     analysis::PcapWriteOptions opts;
-    if (capture_send) opts.kind = net::TraceEvent::Kind::kSend;
+    opts.kind = *capture;
     if (!analysis::write_pcap(trace, pcap_path, opts)) {
       std::fprintf(stderr, "failed to write %s\n", pcap_path.c_str());
       return 1;
