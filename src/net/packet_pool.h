@@ -2,10 +2,9 @@
 //
 // Every packet hop used to copy a ~200-byte Packet (plus a heap-backed SACK
 // vector) by value through queues and std::function captures. With the pool,
-// a packet is heap-allocated exactly once — when the population grows past
-// its previous high-water mark — and afterwards recycled: the sender
-// acquires a recycled Packet, every layer moves the 8-byte PacketPtr handle,
-// and the sink's handle destructor returns the object to the freelist.
+// the sender acquires a recycled Packet, every layer moves the 8-byte
+// PacketPtr handle, and the sink's handle destructor returns the object to
+// the freelist.
 //
 // Ownership: one pool per Simulation, obtained with
 // `sim.service<net::PacketPool>()`. The service registry destroys the pool
@@ -14,9 +13,20 @@
 // Simulation, hence its own pool — nothing here is (or needs to be)
 // thread-safe, and recycling order is fully deterministic.
 //
-// Telemetry: the pool counts allocations (misses), freelist reuses and the
-// high-water mark; a campaign exports them per run through sim::SimStats and
-// process-wide through the static totals the bench [perf] trailer prints.
+// Packet storage outlives the pool on its thread: a pool torn down with
+// every packet back hands its storage to a per-thread spare, and the next
+// pool built on that thread adopts it. A campaign worker's runs therefore
+// heap-allocate packets only past the largest high-water mark the thread
+// has seen, not ~100 per run. The spare holds at most the storage of the
+// largest pool it took back (650 packets, 166 KB, on perfbench `population`)
+// and is freed when its thread exits. Which physical packet an acquire
+// returns never shows: reset_fields() makes a recycled packet equal a
+// fresh one.
+//
+// Telemetry: the pool counts heap allocations, acquires served without one
+// and the high-water mark of this pool's run alone; a campaign exports them
+// per run through sim::SimStats and process-wide through the static totals
+// the bench [perf] trailer prints.
 #pragma once
 
 #include <atomic>
@@ -76,35 +86,31 @@ class PacketPtr {
 class PacketPool {
  public:
   struct Stats {
-    /// Heap allocations (pool misses): acquires that found the freelist
-    /// empty and grew the population.
+    /// Heap allocations (pool misses): acquires that found neither a
+    /// recycled nor an adopted packet and grew the population.
     std::uint64_t allocs{0};
-    /// Acquires served from the freelist without heap traffic.
+    /// Acquires served without heap traffic: from the freelist, or from the
+    /// storage adopted from the thread's previous pool.
     std::uint64_t reuses{0};
-    /// Maximum packets simultaneously outstanding. Equal to `allocs` by
-    /// construction (the pool only grows on demand) — exported separately so
-    /// telemetry reads as capacity, not churn.
+    /// Maximum packets simultaneously outstanding in this pool's run.
     std::uint64_t high_water{0};
     /// Packets currently held by live PacketPtr handles.
     std::uint64_t outstanding{0};
-    /// Resident bytes of pooled Packet storage.
+    /// Resident bytes of pooled Packet storage, adopted packets included.
     std::uint64_t bytes{0};
   };
 
-  PacketPool() = default;
+  /// Adopts the storage the thread's previous pool handed back, if any.
+  PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
-  ~PacketPool() {
-#if MPR_AUDIT
-    ledger_.on_teardown();  // leak check; reports without throwing
-#endif
-    total_allocs_.fetch_add(stats_allocs_, std::memory_order_relaxed);
-    total_reuses_.fetch_add(stats_reuses_, std::memory_order_relaxed);
-  }
+  /// Hands the storage on to the thread's next pool when every packet is
+  /// back; frees it otherwise.
+  ~PacketPool();
 
   /// A fresh (field-reset) packet, recycled when possible. The miss path
   /// lives out of line in grow_and_acquire() so callers' emitted code stays
-  /// allocation-free (the miss is once per high-water packet, not per hop).
+  /// allocation-free (it runs once per high-water packet, not per hop).
   [[nodiscard]] PacketPtr acquire() {
     Packet* p;
     if (!free_.empty()) {
@@ -123,8 +129,8 @@ class PacketPool {
 
   /// Returns `p` to the freelist. Called by PacketPtr; `p` must have been
   /// acquired from this pool and not already released. The append is
-  /// branch-free: grow_and_acquire() keeps free_'s capacity at least the
-  /// population size, and a packet can be in the freelist at most once.
+  /// branch-free: free_'s capacity is kept at least the storage size, and a
+  /// packet can be in the freelist at most once.
   void release(Packet* p) {
     assert(p != nullptr && p->origin_pool == this);
 #if MPR_AUDIT
@@ -134,7 +140,7 @@ class PacketPool {
   }
 
   [[nodiscard]] Stats stats() const {
-    return Stats{stats_allocs_, stats_reuses_, high_water_, storage_.size() - free_.size(),
+    return Stats{stats_allocs_, stats_reuses_, drawn_, drawn_ - free_.size(),
                  storage_.size() * sizeof(Packet)};
   }
 
@@ -149,15 +155,18 @@ class PacketPool {
   }
 
  private:
-  // Grows the population by one and hands the new packet out. Out of line
-  // and cold: this is the only allocation behind acquire()/release().
+  // Draws the next packet this run has not used yet: an adopted one, else a
+  // new one. Out of line and cold: this is the only allocation behind
+  // acquire()/release().
   [[gnu::noinline, gnu::cold]] Packet* grow_and_acquire();
 
-  std::vector<std::unique_ptr<Packet>> storage_;  // stable addresses
+  // Stable addresses. storage_[0, drawn_) have been handed out this run
+  // (each is outstanding or in free_); the rest are adopted and unused.
+  std::vector<std::unique_ptr<Packet>> storage_;
   sim::FlatVec<Packet*> free_;  // capacity invariant: >= storage_.size()
+  std::uint64_t drawn_{0};  // the high-water mark: drawn only when free_ is empty
   std::uint64_t stats_allocs_{0};
   std::uint64_t stats_reuses_{0};
-  std::uint64_t high_water_{0};
 
 #if MPR_AUDIT
   check::PoolLedger ledger_;

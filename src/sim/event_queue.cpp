@@ -28,22 +28,7 @@ EventQueue::~EventQueue() {
 
 void EventQueue::grow_arena() { arena_.push_back(new Action[kArenaChunkSize]); }
 
-std::uint32_t EventQueue::acquire_slot(Action&& action) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-#if MPR_AUDIT
-    if (meta_[slot].live != 0) {
-      check::report({.rule = "event.slot_reuse",
-                     .detail = "free-list slot " + std::to_string(slot) +
-                               " still live on acquire",
-                     .time_ns = now_.ns()});
-    }
-#endif
-    arena_action(slot) = std::move(action);
-    meta_[slot].live = 1;
-    return slot;
-  }
+std::uint32_t EventQueue::add_slot() {
   const auto slot = static_cast<std::uint32_t>(slot_count_);
   // The heap packs slot indices into 24 bits; running out means 16.7M
   // events pending at once — far beyond anything real, so treat it as the
@@ -53,13 +38,13 @@ std::uint32_t EventQueue::acquire_slot(Action&& action) {
     grow_arena();
   }
   ++slot_count_;
-  meta_.push_back(SlotMeta{0, 1});
-  arena_action(slot) = std::move(action);
+  meta_.push_back(SlotMeta{0, 0});
   return slot;
 }
 
+// The slot's action is already empty: pop_and_execute's call_once and
+// cancel's reset both leave it so.
 void EventQueue::release_slot(std::uint32_t slot) {
-  arena_action(slot) = nullptr;
   SlotMeta& m = meta_[slot];
   m.live = 0;
   ++m.gen;  // invalidates every id minted for the previous occupant
@@ -99,10 +84,16 @@ void EventQueue::heap_pop_top() {
   heap_[i] = rec;
 }
 
-EventId EventQueue::schedule_at(TimePoint when, Action action) {
-  assert(action);
+EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
+#if MPR_AUDIT
+  if (meta_[slot].live != 0) {
+    check::report({.rule = "event.slot_reuse",
+                   .detail = "free-list slot " + std::to_string(slot) + " still live on acquire",
+                   .time_ns = now_.ns()});
+  }
+#endif
+  meta_[slot].live = 1;
   if (when < now_) when = now_;  // never schedule into the past
-  const std::uint32_t slot = acquire_slot(std::move(action));
   const EventId id = encode(slot, meta_[slot].gen);
   const std::uint64_t seq = next_seq_++;
   assert(seq < (std::uint64_t{1} << (64 - kSlotIndexBits)) && "seq overflows packed heap record");
@@ -119,11 +110,6 @@ EventId EventQueue::schedule_at(TimePoint when, Action action) {
   }
   ++live_count_;
   return id;
-}
-
-EventId EventQueue::schedule_after(Duration delay, Action action) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(action));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -194,15 +180,16 @@ void EventQueue::pop_and_execute() {
   clock_audit_.on_event(t_ns);
 #endif
   // Mark dead before invoking so a cancel() of this very id returns false
-  // (the event is running, not pending), then execute *in place*: the
-  // arena chunk is stable, so the action stays valid even if it schedules
-  // enough new events to grow the slot table. The slot is recycled only
-  // after the call returns — new events scheduled by the action can never
-  // land in it mid-execution.
+  // (the event is running, not pending), then run and destroy the action
+  // *in place*: the arena chunk is stable, so the action stays valid even
+  // if it schedules enough new events to grow the slot table. The slot is
+  // recycled only after the call returns — new events scheduled by the
+  // action can never land in it mid-execution. An action that throws stays
+  // in its slot, which is never recycled; the arena destroys it at teardown.
   meta_[slot].live = 0;
   --live_count_;
   ++executed_;
-  arena_action(slot)();
+  arena_action(slot).call_once();
   release_slot(slot);
 }
 

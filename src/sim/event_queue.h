@@ -26,17 +26,19 @@
 // seq and slot share one word, with seq in the high bits so the packed
 // compare still orders FIFO at equal times. The 64-byte actions never
 // move: they live in a chunked slot arena whose chunks are stable for the
-// arena's lifetime, so an action is relocated exactly once (schedule time,
-// into its slot) and then executed *in place* — not moved out per event,
-// not shuffled by heap sifts, not reallocated when the slot table grows.
-// Slot liveness/generation sits in a separate dense meta array so the
-// tombstone sweep at the heap top touches 8-byte records, not action
-// cache lines.
+// arena's lifetime. schedule_at/schedule_after take the closure as a
+// template argument and construct it directly in its slot (its one move),
+// and the event runs it *in place* with one indirect call that invokes and
+// then destroys it — not moved out per event, not shuffled by heap sifts,
+// not reallocated when the slot table grows. Slot liveness/generation sits
+// in a separate dense meta array so the tombstone sweep at the heap top
+// touches 8-byte records, not action cache lines.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "check/audit.h"
 #include "sim/flat_vec.h"
@@ -76,11 +78,21 @@ class EventQueue {
   /// Current simulated time. Advances only while events run.
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedules `action` at absolute time `when` (must be >= now()).
-  EventId schedule_at(TimePoint when, Action action);
+  /// Schedules the void() closure `action` at absolute time `when` (must be
+  /// >= now()). The closure is built in its slot.
+  template <typename F>
+  EventId schedule_at(TimePoint when, F&& action) {
+    const std::uint32_t slot = acquire_slot();
+    arena_action(slot).emplace(std::forward<F>(action));
+    return enqueue(when, slot);
+  }
 
   /// Schedules `action` after `delay` (clamped to >= 0).
-  EventId schedule_after(Duration delay, Action action);
+  template <typename F>
+  EventId schedule_after(Duration delay, F&& action) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return schedule_at(now_ + delay, std::forward<F>(action));
+  }
 
   /// Cancels a pending event. Returns true if the event was still pending.
   bool cancel(EventId id);
@@ -163,10 +175,26 @@ class EventQueue {
     return arena_[slot >> kArenaChunkBits][slot & (kArenaChunkSize - 1)];
   }
 
-  std::uint32_t acquire_slot(Action&& action);
+  /// A free slot with an empty action; not yet live (enqueue makes it so).
+  std::uint32_t acquire_slot() {
+    if (free_slots_.empty()) [[unlikely]] {
+      return add_slot();
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  /// Grows the slot table by one (and the arena by a chunk every
+  /// kArenaChunkSize slots): once per slot high-water mark, not per event.
+  [[gnu::noinline]] std::uint32_t add_slot();
   void release_slot(std::uint32_t slot);  // bumps generation, recycles
 
-  // Appends one arena chunk. Out of line and cold: acquire_slot is on the
+  /// The out-of-line half of a schedule, once the action sits in `slot`:
+  /// marks the slot live, draws the event's seq and files it in the heap
+  /// or the wheel.
+  EventId enqueue(TimePoint when, std::uint32_t slot);
+
+  // Appends one arena chunk. Out of line and cold: add_slot is on the
   // audited hot path, and this is its only allocation.
   [[gnu::noinline, gnu::cold]] void grow_arena();
 
@@ -181,7 +209,7 @@ class EventQueue {
   bool prepare_top(std::int64_t limit_ns);
 
   /// Pops heap_[0], which prepare_top made live, advances the clock to it,
-  /// executes its action in place and recycles the slot.
+  /// runs and destroys its action in place and recycles the slot.
   void pop_and_execute();
 
   // FlatVec, not std::vector: these four grow on the audited hot path, and

@@ -10,6 +10,7 @@
 // unique_ptr/shared_ptr) — making the allocation visible at the call site.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -67,6 +68,20 @@ class InlineFunction<R(Args...), Capacity> {
 
   R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
+  /// Invokes the closure and destroys it, leaving this empty: one indirect
+  /// call where operator() and reset() make two. A closure that throws is
+  /// left in place, so reset() or the destructor destroys it, once.
+  R call_once(Args... args) {
+    if constexpr (std::is_void_v<R>) {
+      ops_->call_once(storage_, std::forward<Args>(args)...);
+      ops_ = nullptr;
+    } else {
+      R r = ops_->call_once(storage_, std::forward<Args>(args)...);
+      ops_ = nullptr;
+      return r;
+    }
+  }
+
   void reset() {
     if (ops_ != nullptr) {
       ops_->destroy(storage_);
@@ -76,9 +91,28 @@ class InlineFunction<R(Args...), Capacity> {
 
   static constexpr std::size_t capacity() { return Capacity; }
 
+  /// Builds the closure `f` directly in this empty function's storage, with
+  /// no relocation through a temporary (the event queue's slots).
+  template <typename F>
+  void emplace(F&& f) {
+    assert(ops_ == nullptr);
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= Capacity,
+                  "closure exceeds InlineFunction inline capacity; shrink the capture or box "
+                  "the state behind a pointer (the allocation must be explicit, not hidden)");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "closure is over-aligned for InlineFunction storage");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "InlineFunction requires nothrow-movable closures (move construction and "
+                  "assignment relocate them)");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &OpsFor<Fn>::ops;
+  }
+
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
+    R (*call_once)(void*, Args&&...);        // invoke, then destroy
     void (*relocate)(void* dst, void* src);  // move-construct into dst, destroy src
     void (*destroy)(void*);
   };
@@ -87,28 +121,24 @@ class InlineFunction<R(Args...), Capacity> {
   struct OpsFor {
     static F* as(void* s) { return std::launder(reinterpret_cast<F*>(s)); }
     static R invoke(void* s, Args&&... args) { return (*as(s))(std::forward<Args>(args)...); }
+    static R call_once(void* s, Args&&... args) {
+      F& f = *as(s);
+      if constexpr (std::is_void_v<R>) {
+        f(std::forward<Args>(args)...);
+        f.~F();
+      } else {
+        R r = f(std::forward<Args>(args)...);
+        f.~F();
+        return r;
+      }
+    }
     static void relocate(void* dst, void* src) {
       ::new (dst) F(std::move(*as(src)));
       as(src)->~F();
     }
     static void destroy(void* s) { as(s)->~F(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke, &call_once, &relocate, &destroy};
   };
-
-  template <typename F>
-  void emplace(F&& f) {
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= Capacity,
-                  "closure exceeds InlineFunction inline capacity; shrink the capture or box "
-                  "the state behind a pointer (the allocation must be explicit, not hidden)");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "closure is over-aligned for InlineFunction storage");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "InlineFunction requires nothrow-movable closures (the action is relocated "
-                  "once, into the event queue's slot arena at schedule time)");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &OpsFor<Fn>::ops;
-  }
 
   void move_from(InlineFunction& other) noexcept {
     ops_ = other.ops_;

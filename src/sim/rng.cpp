@@ -25,6 +25,47 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
+void Mt19937_64::refill() {
+  constexpr result_type kUpper = ~result_type{0} << 31;
+  constexpr result_type kLower = ~kUpper;
+  constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
+  constexpr result_type kSeedMult = 6364136223846793005ULL;
+  const auto twist = [](result_type cur, result_type next, result_type far) {
+    const result_type y = (cur & kUpper) | (next & kLower);
+    return far ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & kMatrixA);
+  };
+  if (ready_ == kN) {
+    // A round is spent: twist every word for the next one, in the standard
+    // engine's three runs.
+    std::uint32_t i = 0;
+    for (; i < kN - kM; ++i) x_[i] = twist(x_[i], x_[i + 1], x_[i + kM]);
+    for (; i < kN - 1; ++i) x_[i] = twist(x_[i], x_[i + 1], x_[i + kM - kN]);
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    pos_ = 0;
+    return;
+  }
+  // First round. Twisting word i < kN - kM reads the seeded words i + 1 and
+  // i + kM; a later word reads i + 1 and the already twisted i + kM - kN
+  // (the last one, the twisted word 0). So seed through end + kM first.
+  constexpr std::uint32_t kBlock = 16;
+  const std::uint32_t end = std::min(ready_ + kBlock, kN);
+  const std::uint32_t need = std::min(end + kM, kN);
+  for (; seeded_ < need; ++seeded_) {
+    const result_type prev = x_[seeded_ - 1];
+    x_[seeded_] = kSeedMult * (prev ^ (prev >> 62)) + seeded_;
+  }
+  for (std::uint32_t i = ready_; i < end; ++i) {
+    if (i < kN - kM) {
+      x_[i] = twist(x_[i], x_[i + 1], x_[i + kM]);
+    } else if (i < kN - 1) {
+      x_[i] = twist(x_[i], x_[i + 1], x_[i + kM - kN]);
+    } else {
+      x_[i] = twist(x_[i], x_[0], x_[kM - 1]);
+    }
+  }
+  ready_ = end;
+}
+
 std::uint64_t SeedSequence::seed_for(std::string_view name) const {
   return mix(master_ ^ mix(fnv1a(name)));
 }

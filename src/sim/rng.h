@@ -14,8 +14,15 @@
 // RngSequence.* in tests/sim_test.cpp; any change here must keep that
 // suite green or outputs stop being comparable across PRs. There is no
 // mode that changes the draw sequence.
+//
+// The engine is Mt19937_64 below: std::mt19937_64's sequence, but a run
+// builds 13-22 streams (plus one per sampled campaign user), and on short
+// downloads 8 in 10 of those that draw at all draw fewer than 256 numbers,
+// so it seeds and twists its 312 state words only as draws reach them
+// instead of all of them up front.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -23,8 +30,64 @@
 
 namespace mpr::sim {
 
-/// One random stream. Thin wrapper over mt19937_64 with the distributions
-/// the simulator actually needs.
+/// The 64-bit Mersenne Twister, output-identical to std::mt19937_64 for the
+/// same seed (pinned by RngSequence.LazyEngineMatchesStdEngine). The first
+/// round's words are seeded and twisted in blocks as draws reach them: a
+/// word's twist reads the word after it and the word kM ahead, so seeding
+/// runs kM words ahead of twisting. Later rounds twist all kN words at
+/// once, as the standard engine does. A copy copies only the seeded words.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) { x_[0] = seed; }
+  Mt19937_64(const Mt19937_64& other)
+      : pos_{other.pos_}, ready_{other.ready_}, seeded_{other.seeded_} {
+    std::copy_n(other.x_, seeded_, x_);
+  }
+  Mt19937_64& operator=(const Mt19937_64& other) {
+    if (this != &other) {
+      pos_ = other.pos_;
+      ready_ = other.ready_;
+      seeded_ = other.seeded_;
+      std::copy_n(other.x_, seeded_, x_);
+    }
+    return *this;
+  }
+
+  result_type operator()() {
+    if (pos_ == ready_) [[unlikely]] {
+      refill();
+    }
+    result_type z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::uint32_t kN = 312;
+  static constexpr std::uint32_t kM = 156;
+
+  /// Makes x_[pos_] ready: in the first round, seeds and twists the next
+  /// block of words; after it, twists all kN words for the next round.
+  /// Out of line: once per block or round, not per draw.
+  [[gnu::noinline]] void refill();
+
+  std::uint32_t pos_{0};     // next word to output
+  std::uint32_t ready_{0};   // words [0, ready_) hold this round's output
+  std::uint32_t seeded_{1};  // words [0, seeded_) are seeded (kN after the first round)
+  // Words past seeded_ are left unset: writing them up front is the cost
+  // this class avoids, and nothing reads them before they are seeded.
+  result_type x_[kN];
+};
+
+/// One random stream: Mt19937_64 with the distributions the simulator
+/// actually needs.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_{seed} {}
@@ -70,16 +133,24 @@ class Rng {
     return xm / std::pow(u, 1.0 / alpha);
   }
 
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
+  [[nodiscard]] Mt19937_64& engine() { return engine_; }
 
- private:
   /// What libstdc++'s generate_canonical<double, 53> computes for a 64-bit
   /// engine: one raw draw scaled into [0, 1), where double(2^64-1) rounds
-  /// up to 2^64 and must be clamped below 1.0.
-  [[nodiscard]] double canonical() {
-    const double r = static_cast<double>(engine_()) * 0x1p-64;
-    return r >= 1.0 ? std::nextafter(1.0, 0.0) : r;
+  /// up to 2^64 and must be clamped below 1.0. Public for the exactness
+  /// pins (RngSequence.CanonicalMatchesStaticCast).
+  [[nodiscard]] static double canonical_of(std::uint64_t z) {
+    // static_cast<double>(z) of a uint64 branches on the sign bit (x86-64
+    // has no unsigned convert before AVX-512). Each 32-bit half converts
+    // exactly, hi * 2^32 is exact, and the one addition rounds once, to the
+    // same nearest-even double.
+    const double d = static_cast<double>(static_cast<std::uint32_t>(z >> 32)) * 0x1p32 +
+                     static_cast<double>(static_cast<std::uint32_t>(z));
+    return std::min(d * 0x1p-64, 0x1.fffffffffffffp-1);
   }
+
+ private:
+  [[nodiscard]] double canonical() { return canonical_of(engine_()); }
 
   /// Marsaglia polar method, operation-for-operation the libstdc++
   /// std::normal_distribution rejection loop. The spare deviate (x*mult) is
@@ -98,7 +169,7 @@ class Rng {
     return y * mult;
   }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// A Bernoulli(p) gate with the degenerate-p classification hoisted to

@@ -59,8 +59,14 @@ class Simulation {
     return nullptr;
   }
 
-  EventId at(TimePoint when, EventQueue::Action a) { return events_.schedule_at(when, std::move(a)); }
-  EventId after(Duration d, EventQueue::Action a) { return events_.schedule_after(d, std::move(a)); }
+  template <typename F>
+  EventId at(TimePoint when, F&& action) {
+    return events_.schedule_at(when, std::forward<F>(action));
+  }
+  template <typename F>
+  EventId after(Duration d, F&& action) {
+    return events_.schedule_after(d, std::forward<F>(action));
+  }
   bool cancel(EventId id) { return events_.cancel(id); }
 
   void run() { events_.run(); }

@@ -5,7 +5,9 @@
 // not just its outputs: how many events ran, how many Packet objects were
 // heap-allocated vs recycled from the run's PacketPool, and the pool's
 // resident footprint. The packet hot path is considered allocation-free when
-// pool_allocated_packets stops growing once a run reaches steady state.
+// pool_allocated_packets stops growing once a run reaches steady state. A
+// pool adopts the packet storage of its thread's previous pool, so a run
+// after the first on a thread typically allocates none.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +18,13 @@ struct SimStats {
   /// Events executed by the run's EventQueue.
   std::uint64_t events_executed{0};
   /// Packet objects heap-allocated by the run's PacketPool (pool misses —
-  /// each one grew the pool's population).
+  /// each one grew the population past the storage the pool adopted).
   std::uint64_t pool_allocated_packets{0};
-  /// Pool acquisitions served from the freelist (no heap traffic).
+  /// Pool acquisitions served without heap traffic: recycled from the
+  /// freelist or drawn from adopted storage.
   std::uint64_t pool_reused_packets{0};
-  /// Maximum packets simultaneously in flight/queued (pool high-water mark;
-  /// equals pool_allocated_packets, since the pool only grows on demand).
+  /// Maximum packets simultaneously in flight/queued in this run (pool
+  /// high-water mark; a fresh thread's first run allocates exactly this many).
   std::uint64_t pool_high_water{0};
   /// Resident bytes held by the pool's packet storage.
   std::uint64_t pool_bytes{0};

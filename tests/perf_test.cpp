@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +155,35 @@ TEST(PacketHotPath, MptcpDownloadSteadyStateAllocatesUnderOnePerHundredEvents) {
   EXPECT_LE(per_event, 0.01) << allocs << " heap allocations over " << events
                              << " events after warm-up: the MPTCP data path allocates "
                                 "per packet or per ACK";
+}
+
+TEST(PacketHotPath, SecondRunOnAThreadAllocatesNoPackets) {
+  // A pool adopts the packet storage its thread's previous pool handed back,
+  // so a campaign worker's second run of a configuration allocates no
+  // packets. Its counters still describe its own run: the same high-water
+  // mark as that configuration on a fresh thread, every acquire a reuse.
+  experiment::TestbedConfig tcfg;
+  experiment::RunConfig rc;
+  rc.mode = experiment::PathMode::kMptcp2;
+  rc.file_bytes = 1 << 20;
+  experiment::RunResult fresh;
+  experiment::RunResult first;
+  experiment::RunResult second;
+  std::thread{[&] { fresh = experiment::run_download(tcfg, rc); }}.join();
+  std::thread{[&] {
+    first = experiment::run_download(tcfg, rc);
+    second = experiment::run_download(tcfg, rc);
+  }}.join();
+  const sim::SimStats& f = fresh.sim_stats;
+  ASSERT_TRUE(fresh.completed);
+  ASSERT_GT(f.pool_high_water, 0u);
+  EXPECT_EQ(f.pool_allocated_packets, f.pool_high_water) << "a fresh thread's pool starts empty";
+  EXPECT_EQ(first.sim_stats.pool_allocated_packets, f.pool_allocated_packets);
+  EXPECT_EQ(second.sim_stats.pool_allocated_packets, 0u);
+  EXPECT_EQ(second.sim_stats.pool_high_water, f.pool_high_water);
+  EXPECT_EQ(second.sim_stats.pool_reused_packets,
+            f.pool_allocated_packets + f.pool_reused_packets);
+  EXPECT_EQ(second.download_time_s, fresh.download_time_s);
 }
 
 TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {

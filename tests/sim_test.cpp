@@ -3,9 +3,12 @@
 // campaign's parallel index loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -247,11 +250,12 @@ struct MoveCountingAction {
 };
 }  // namespace
 
-TEST(EventQueueTest, ActionsAreRelocatedExactlyTwicePerEvent) {
+TEST(EventQueueTest, ActionsAreRelocatedExactlyOncePerEvent) {
   // The heap sifts only 16-byte (when, seq|slot) records; actions live in a
-  // stable slot arena and run in place. So a scheduled closure is
-  // move-constructed exactly twice regardless of heap churn: once into the
-  // Action at the schedule call, once from that Action into its arena slot.
+  // stable slot arena and run in place. schedule_at takes the closure as a
+  // template argument and builds it in its slot, so a scheduled closure is
+  // move-constructed exactly once regardless of heap churn: from the
+  // caller's temporary into the slot.
   EventQueue q;
   int moves = 0;
   int calls = 0;
@@ -264,10 +268,43 @@ TEST(EventQueueTest, ActionsAreRelocatedExactlyTwicePerEvent) {
       q.schedule_at(TimePoint::from_ns(5'000 - i * 50 - j), [] {});
     }
   }
-  EXPECT_EQ(moves, 2 * kTracked);  // no relocations at schedule-heavy time
+  EXPECT_EQ(moves, kTracked);  // no relocations at schedule-heavy time
   q.run();
   EXPECT_EQ(calls, kTracked);
-  EXPECT_EQ(moves, 2 * kTracked);  // and none during sifting or execution
+  EXPECT_EQ(moves, kTracked);  // and none during sifting or execution
+}
+
+namespace {
+/// Counts the destruction of the one instance that owns the action (moved-
+/// from shells do not count).
+struct ThrowingAction {
+  int* destroyed;
+  bool owner{true};
+  explicit ThrowingAction(int* d) : destroyed{d} {}
+  ThrowingAction(ThrowingAction&& other) noexcept : destroyed{other.destroyed} {
+    other.owner = false;
+  }
+  ThrowingAction(const ThrowingAction&) = delete;
+  ~ThrowingAction() {
+    if (owner) ++*destroyed;
+  }
+  void operator()() const { throw std::runtime_error{"action failed"}; }
+};
+}  // namespace
+
+TEST(EventQueueTest, ThrowingActionIsDestroyedOnce) {
+  // The campaign's quarantine path catches a run's exception and tears the
+  // run down: the action that threw must be destroyed exactly once, by the
+  // queue's teardown, not by the failed call and again later.
+  int destroyed = 0;
+  {
+    EventQueue q;
+    q.schedule_after(Duration::millis(1), ThrowingAction{&destroyed});
+    EXPECT_THROW(q.step(), std::runtime_error);
+    EXPECT_EQ(destroyed, 0) << "the failed call destroyed its action";
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(RngTest, NamedStreamsAreDeterministic) {
@@ -421,6 +458,71 @@ TEST(RngSequence, LognormalMatchesFreshStdLognormal) {
     EXPECT_EQ(r.lognormal_median(median, sigma), dist(eng)) << "draw " << i;
   }
   EXPECT_EQ(r.engine()(), eng());
+}
+
+TEST(RngSequence, LazyEngineMatchesStdEngine) {
+  // Mt19937_64 seeds and twists its first round in blocks as draws reach
+  // them. Cut each seed's stream around the block, half-round and round
+  // boundaries, copy the engine there (a copy carries only the seeded
+  // words), and continue original and copy well into the third round.
+  constexpr int kCuts[] = {0, 1, 155, 156, 157, 311, 312, 313, 700};
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+                                   ~std::uint64_t{0}}) {
+    for (const int cut : kCuts) {
+      Mt19937_64 lazy{seed};
+      std::mt19937_64 ref{seed};
+      for (int i = 0; i < cut; ++i) ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i;
+      Mt19937_64 copy{lazy};
+      std::mt19937_64 ref_copy{ref};
+      for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(lazy(), want) << "seed " << seed << " cut " << cut << " draw " << i;
+        ASSERT_EQ(copy(), ref_copy()) << "seed " << seed << " copy at " << cut << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngSequence, ShuffleThroughEngineMatchesStd) {
+  // run_series shuffles its cell order through engine(); std::shuffle reads
+  // only the engine's range and its draws.
+  std::vector<int> a(1000);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<int>(i);
+  std::vector<int> b = a;
+  Rng r{2024};
+  std::mt19937_64 ref{2024};
+  std::shuffle(a.begin(), a.end(), r.engine());
+  std::shuffle(b.begin(), b.end(), ref);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(r.engine()(), ref());
+}
+
+TEST(RngSequence, CanonicalMatchesStaticCast) {
+  // The branch-free conversion must round every word exactly as
+  // static_cast<double> does (round to nearest, ties to even), and clamp
+  // the words that round up to 2^64.
+  const auto reference = [](std::uint64_t z) {
+    const double r = static_cast<double>(z) * 0x1p-64;
+    return r >= 1.0 ? std::nextafter(1.0, 0.0) : r;
+  };
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  // Above 2^63 a double's ulp is 0x800: +0x3FF rounds down, +0x400 ties to
+  // the even 2^63, +0x401 rounds up, +0xC00 ties up to the even neighbour.
+  // 2^53 + 1 is the first integer a double cannot hold.
+  for (const std::uint64_t z :
+       {std::uint64_t{0}, std::uint64_t{1}, kTop, kTop + 1, kTop + 0x3FF, kTop + 0x400,
+        kTop + 0x401, kTop + 0xC00, (std::uint64_t{1} << 53) + 1, ~std::uint64_t{0} - 0x400,
+        ~std::uint64_t{0} - 0x3FF, ~std::uint64_t{0}}) {
+    EXPECT_EQ(Rng::canonical_of(z), reference(z)) << std::hex << z;
+  }
+  EXPECT_EQ(Rng::canonical_of(~std::uint64_t{0}), std::nextafter(1.0, 0.0));
+  std::mt19937_64 words{99};
+  int mismatches = 0;
+  for (int i = 0; i < 10'000'000; ++i) {
+    const std::uint64_t z = words();
+    if (Rng::canonical_of(z) != reference(z)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(RngSequence, LogMedianFormMatchesMedianForm) {
