@@ -359,9 +359,9 @@ struct Packet {
   bool cross_traffic{false};
   sim::TimePoint first_sent_time;  // stamped by the sending endpoint
   sim::TimePoint enqueue_time;     // stamped by the queue (CoDel sojourn time)
-  /// Owning pool when pool-managed (set once by PacketPool, never reset):
-  /// lets the 8-byte PacketPtr handle recycle without carrying a pool
-  /// pointer of its own.
+  /// Owning pool when pool-managed (set by the PacketPool that hands it
+  /// out, kept by reset_fields()): lets the 8-byte PacketPtr handle recycle
+  /// without carrying a pool pointer of its own.
   PacketPool* origin_pool{nullptr};
   TcpSegment tcp;
 
