@@ -22,7 +22,6 @@ PingAgent::PingAgent(net::Host& host, net::IpAddr local_addr, net::IpAddr server
 }
 
 PingAgent::~PingAgent() {
-  if (timeout_ != sim::kInvalidEventId) host_.sim().cancel(timeout_);
   host_.unregister_flow(net::FlowKey{local_, remote_});
 }
 
@@ -46,8 +45,7 @@ void PingAgent::send_one() {
   p->tcp.dst_port = remote_.port;
   p->payload_bytes = 24;
   host_.send(std::move(p));
-  timeout_ = host_.sim().after(sim::Duration::seconds(1), [this] {
-    timeout_ = sim::kInvalidEventId;
+  timeout_.arm_after(sim::Duration::seconds(1), [this] {
     if (outstanding_ > 0) {
       outstanding_ = 0;
       send_one();  // give up on this one
@@ -59,10 +57,7 @@ void PingAgent::on_reply() {
   if (outstanding_ == 0) return;
   outstanding_ = 0;
   ++replies_;
-  if (timeout_ != sim::kInvalidEventId) {
-    host_.sim().cancel(timeout_);
-    timeout_ = sim::kInvalidEventId;
-  }
+  timeout_.cancel();
   send_one();
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "net/host.h"
+#include "sim/timer.h"
 
 namespace mpr::app {
 
@@ -45,7 +46,7 @@ class PingAgent {
   int outstanding_{0};
   int remaining_{0};
   int replies_{0};
-  sim::EventId timeout_{sim::kInvalidEventId};
+  sim::Timer timeout_{host_.sim()};
   std::function<void()> done_;
 };
 

@@ -557,22 +557,26 @@ void MptcpConnection::on_subflow_connect_failed(MptcpSubflow& sf) {
   note_paths_dead();
 }
 
-/// Ceiling of the join-retry backoff, which doubles from
-/// MptcpConfig::join_retry_initial.
+/// First delay before an MP_JOIN SYN that exhausted its TCP-level retries
+/// is tried again (the kernel path manager gives up forever; under scripted
+/// outages that permanently loses the second path). The backoff doubles
+/// from here up to kJoinRetryCap.
+constexpr sim::Duration kJoinRetryInitial = sim::Duration::seconds(1);
 constexpr sim::Duration kJoinRetryCap = sim::Duration::seconds(30);
+/// Fail the connection (error to the app, not a hang) once *every* subflow
+/// has been dead (no handshake in progress and past the consecutive-RTO
+/// threshold) for this long.
+constexpr sim::Duration kAllPathsDeadTimeout = sim::Duration::seconds(90);
 
 void MptcpConnection::schedule_join_retry(net::IpAddr local, net::IpAddr remote) {
-  const std::uint64_t key = join_key(local, remote);
-  JoinRetryState& st = join_retries_[key];
-  if (st.timer != sim::kInvalidEventId) return;
-  sim::Duration delay = config_.join_retry_initial;
+  JoinRetryState& st =
+      join_retries_.try_emplace(join_key(local, remote), host_.sim()).first->second;
+  if (st.timer.armed()) return;
+  sim::Duration delay = kJoinRetryInitial;
   for (int i = 0; i < st.attempts && delay < kJoinRetryCap; ++i) delay = delay * 2;
   delay = std::min(delay, kJoinRetryCap);
   ++st.attempts;
-  st.timer = host_.sim().after(delay, [this, local, remote, key] {
-    join_retries_[key].timer = sim::kInvalidEventId;
-    retry_join(local, remote);
-  });
+  st.timer.arm_after(delay, [this, local, remote] { retry_join(local, remote); });
 }
 
 void MptcpConnection::retry_join(net::IpAddr local, net::IpAddr remote) {
@@ -590,9 +594,7 @@ void MptcpConnection::retry_join(net::IpAddr local, net::IpAddr remote) {
 
 void MptcpConnection::clear_join_retry(net::IpAddr local, net::IpAddr remote) {
   const auto it = join_retries_.find(join_key(local, remote));
-  if (it == join_retries_.end()) return;
-  if (it->second.timer != sim::kInvalidEventId) host_.sim().cancel(it->second.timer);
-  join_retries_.erase(it);
+  if (it != join_retries_.end()) join_retries_.erase(it);
 }
 
 void MptcpConnection::cancel_join_retries(std::optional<net::IpAddr> local) {
@@ -601,7 +603,6 @@ void MptcpConnection::cancel_join_retries(std::optional<net::IpAddr> local) {
       ++it;
       continue;
     }
-    if (it->second.timer != sim::kInvalidEventId) host_.sim().cancel(it->second.timer);
     it = join_retries_.erase(it);
   }
 }
@@ -633,14 +634,12 @@ void MptcpConnection::note_paths_dead() {
   }
   const sim::TimePoint now = host_.sim().now();
   if (!dead_since_) dead_since_ = now;
-  if (dead_timer_ == sim::kInvalidEventId) {
-    dead_timer_ = host_.sim().at(*dead_since_ + config_.all_paths_dead_timeout,
-                                 [this] { on_dead_deadline(); });
+  if (!dead_timer_.armed()) {
+    dead_timer_.arm_at(*dead_since_ + kAllPathsDeadTimeout, [this] { on_dead_deadline(); });
   }
 }
 
 void MptcpConnection::on_dead_deadline() {
-  dead_timer_ = sim::kInvalidEventId;
   if (failed_ || closing()) return;
   if (any_viable_subflow()) {
     dead_since_.reset();
@@ -648,23 +647,19 @@ void MptcpConnection::on_dead_deadline() {
   }
   if (!dead_since_) return;  // recovered since (observed via a data ack)
   const sim::TimePoint now = host_.sim().now();
-  if (now - *dead_since_ >= config_.all_paths_dead_timeout) {
+  if (now - *dead_since_ >= kAllPathsDeadTimeout) {
     fail_connection();
     return;
   }
   // A newer dead episode started after the timer was armed; re-check then.
-  dead_timer_ = host_.sim().at(*dead_since_ + config_.all_paths_dead_timeout,
-                               [this] { on_dead_deadline(); });
+  dead_timer_.arm_at(*dead_since_ + kAllPathsDeadTimeout, [this] { on_dead_deadline(); });
 }
 
 void MptcpConnection::fail_connection() {
   if (failed_) return;
   failed_ = true;
   cancel_join_retries();
-  if (dead_timer_ != sim::kInvalidEventId) {
-    host_.sim().cancel(dead_timer_);
-    dead_timer_ = sim::kInvalidEventId;
-  }
+  dead_timer_.cancel();
   for (const auto& sf : subflows_) {
     if (sf->state() != tcp::TcpState::kClosed && sf->state() != tcp::TcpState::kDone) {
       sf->abort();

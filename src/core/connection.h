@@ -33,6 +33,7 @@
 #include "core/subflow.h"
 #include "net/host.h"
 #include "sim/flat_vec.h"
+#include "sim/timer.h"
 #include "tcp/seg_ring.h"
 
 namespace mpr::core {
@@ -54,15 +55,6 @@ struct MptcpConfig {
   bool simultaneous_syns{false};
   /// Linux receive-buffer penalization; the paper removes it (§3.1).
   bool penalization{false};
-  /// First delay before an MP_JOIN SYN that exhausted its TCP-level retries
-  /// is tried again (the kernel path manager gives up forever; under
-  /// scripted outages that permanently loses the second path). The backoff
-  /// doubles from here up to 30 s.
-  sim::Duration join_retry_initial{sim::Duration::seconds(1)};
-  /// Fail the connection (error to the app, not a hang) once *every*
-  /// subflow has been dead — no handshake in progress and past the
-  /// consecutive-RTO threshold — for this long.
-  sim::Duration all_paths_dead_timeout{sim::Duration::seconds(90)};
   /// Client interfaces to join in backup mode (RFC 6824 B bit): their
   /// subflows carry data only while no regular subflow is healthy —
   /// the "backup mode" of Paasch et al. that trades throughput for the
@@ -132,8 +124,8 @@ class MptcpConnection {
   std::function<void(std::uint64_t dsn, std::uint32_t len)> on_data;
   std::function<void()> on_established;
   std::function<void()> on_data_fin;
-  /// The connection failed: every subflow stayed dead past
-  /// `all_paths_dead_timeout` (or the initial handshake gave up). Subflows
+  /// The connection failed: every subflow stayed dead for 90 s
+  /// (kAllPathsDeadTimeout), or the initial handshake gave up. Subflows
   /// are aborted before this fires; no further progress will happen.
   std::function<void()> on_error;
 
@@ -341,10 +333,11 @@ class MptcpConnection {
   // Failure-path state.
   bool failed_{false};
   std::optional<sim::TimePoint> dead_since_;
-  sim::EventId dead_timer_{sim::kInvalidEventId};
+  sim::Timer dead_timer_{host_.sim()};
   struct JoinRetryState {
+    explicit JoinRetryState(sim::Simulation& sim) : timer{sim} {}
     int attempts{0};
-    sim::EventId timer{sim::kInvalidEventId};
+    sim::Timer timer;
   };
   // Ordered: iterated on address removal and teardown, where the order of
   // cancelled timers must be deterministic (mpr-lint unordered-iter).

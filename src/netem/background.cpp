@@ -10,10 +10,7 @@ BackgroundTraffic::BackgroundTraffic(sim::Simulation& sim, net::Link& link, Conf
   if (config_.on_utilization > 0.0 && config_.on_fraction > 0.0) schedule_next();
 }
 
-void BackgroundTraffic::stop() {
-  sim_.cancel(pending_);
-  pending_ = sim::kInvalidEventId;
-}
+void BackgroundTraffic::stop() { pending_.cancel(); }
 
 void BackgroundTraffic::schedule_next() {
   const sim::TimePoint now = sim_.now();
@@ -27,14 +24,14 @@ void BackgroundTraffic::schedule_next() {
 
   if (!on_) {
     // Sleep through the OFF phase.
-    pending_ = sim_.at(phase_end_, [this] { schedule_next(); });
+    pending_.arm_at(phase_end_, [this] { schedule_next(); });
     return;
   }
 
   const double rate_bps = link_.config().rate_bps * config_.on_utilization;
   const double mean_gap_s = static_cast<double>(kPacketBytes) * 8.0 / rate_bps;
   const double gap_s = rng_.exponential(mean_gap_s);
-  pending_ = sim_.after(sim::Duration::from_seconds(gap_s), [this] {
+  pending_.arm_after(sim::Duration::from_seconds(gap_s), [this] {
     if (on_ && sim_.now() < phase_end_) {
       net::PacketPtr p = sim_.service<net::PacketPool>().acquire();
       p->src = kPhantomSrc;

@@ -16,6 +16,7 @@
 #include "net/packet.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "sim/timer.h"
 
 namespace mpr::netem {
 
@@ -55,7 +56,7 @@ class BackgroundTraffic {
   sim::Rng rng_;
   bool on_{false};
   sim::TimePoint phase_end_{};
-  sim::EventId pending_{sim::kInvalidEventId};
+  sim::Timer pending_{sim_};
   std::uint64_t injected_{0};
 };
 

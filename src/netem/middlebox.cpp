@@ -6,9 +6,7 @@
 namespace mpr::netem {
 
 Middlebox::Middlebox(sim::Simulation& sim, std::string name)
-    : sim_{sim}, name_{std::move(name)} {
-  up_.up = true;
-}
+    : sim_{sim}, name_{std::move(name)} {}
 
 void Middlebox::attach_uplink(net::Link& link) {
   up_.link = &link;
@@ -138,20 +136,11 @@ void Middlebox::coalesce_or_emit(net::PacketPtr p, Dir& d) {
   }
   d.held = std::move(p);
   // One-shot flush so the tail segment of a burst never stalls here.
-  const int di = d.up ? 0 : 1;
-  d.timer_armed = true;
-  d.hold_timer = sim_.after(coalesce_hold_, [this, di] {
-    Dir& dir = di == 0 ? up_ : down_;
-    dir.timer_armed = false;
-    flush(dir);
-  });
+  d.hold_timer.arm_after(coalesce_hold_, [this, &d] { flush(d); });
 }
 
 void Middlebox::flush(Dir& d) {
-  if (d.timer_armed) {
-    sim_.cancel(d.hold_timer);
-    d.timer_armed = false;
-  }
+  d.hold_timer.cancel();
   if (!d.held) return;
   emit(std::move(d.held), d);
 }

@@ -27,6 +27,7 @@
 #include "net/packet_pool.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "sim/timer.h"
 
 namespace mpr::netem {
 
@@ -86,11 +87,11 @@ class Middlebox {
 
  private:
   struct Dir {
+    Dir(sim::Simulation& sim, bool is_up) : up{is_up}, hold_timer{sim} {}
     net::Link* link{nullptr};
-    bool up{false};
+    bool up;
     net::PacketPtr held;  // coalescing: data segment awaiting a successor
-    bool timer_armed{false};
-    sim::EventId hold_timer{sim::kInvalidEventId};
+    sim::Timer hold_timer;
     std::uint32_t split_seen{0};
     std::uint32_t corrupt_seen{0};
   };
@@ -112,8 +113,8 @@ class Middlebox {
   std::uint32_t split_every_{0};
   sim::Duration coalesce_hold_{};
   std::uint32_t corrupt_every_{0};
-  Dir up_{};
-  Dir down_{};
+  Dir up_{sim_, true};
+  Dir down_{sim_, false};
   Stats stats_;
   Stats cross_traffic_stats_;
 };

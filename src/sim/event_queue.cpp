@@ -22,11 +22,11 @@ EventQueue::EventQueue() {
 }
 
 EventQueue::~EventQueue() {
-  for (Action* chunk : arena_) delete[] chunk;
+  for (ActionSlot* chunk : arena_) delete[] chunk;
   total_executed_.fetch_add(executed_, std::memory_order_relaxed);
 }
 
-void EventQueue::grow_arena() { arena_.push_back(new Action[kArenaChunkSize]); }
+void EventQueue::grow_arena() { arena_.push_back(new ActionSlot[kArenaChunkSize]); }
 
 std::uint32_t EventQueue::add_slot() {
   const auto slot = static_cast<std::uint32_t>(slot_count_);
@@ -42,8 +42,8 @@ std::uint32_t EventQueue::add_slot() {
   return slot;
 }
 
-// The slot's action is already empty: pop_and_execute's call_once and
-// cancel's reset both leave it so.
+// The slot's action is already empty: pop_and_execute's run and cancel's
+// drop both leave it so.
 void EventQueue::release_slot(std::uint32_t slot) {
   SlotMeta& m = meta_[slot];
   m.live = 0;
@@ -123,7 +123,7 @@ bool EventQueue::cancel(EventId id) {
   // or wheel entry to be skipped when it surfaces. The slot is recycled
   // only then, so the id space stays unambiguous.
   m.live = 0;
-  arena_action(slot) = nullptr;
+  arena_action(slot).drop();
   --live_count_;
   return true;
 }
@@ -189,7 +189,7 @@ void EventQueue::pop_and_execute() {
   meta_[slot].live = 0;
   --live_count_;
   ++executed_;
-  arena_action(slot).call_once();
+  arena_action(slot).run();
   release_slot(slot);
 }
 

@@ -41,8 +41,8 @@
 #include <utility>
 
 #include "check/audit.h"
+#include "sim/action_slot.h"
 #include "sim/flat_vec.h"
-#include "sim/inline_function.h"
 #include "sim/time.h"
 #include "sim/timing_wheel.h"
 
@@ -53,17 +53,8 @@ namespace mpr::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Inline capacity of an event action. Every closure scheduled anywhere in
-/// the simulator must fit (checked at compile time): the packet hot path
-/// schedules one action per link hop, and a heap-backed std::function here
-/// cost an allocation per hop. 64 bytes = 8 pointers, comfortably above the
-/// largest real capture (this + a pooled packet handle + a couple of words).
-inline constexpr std::size_t kEventActionCapacity = 64;
-
 class EventQueue {
  public:
-  using Action = InlineFunction<void(), kEventActionCapacity>;
-
   /// Events at least this far ahead of now() go to the timing wheel; nearer
   /// ones (packet hops, same-instant work) go straight to the heap. Sized
   /// so every protocol timer (delayed-ACK 40ms, RTO >= 200ms) wheels while
@@ -171,7 +162,7 @@ class EventQueue {
     return a.seq_slot < b.seq_slot;
   }
 
-  [[nodiscard]] Action& arena_action(std::uint32_t slot) {
+  [[nodiscard]] ActionSlot& arena_action(std::uint32_t slot) {
     return arena_[slot >> kArenaChunkBits][slot & (kArenaChunkSize - 1)];
   }
 
@@ -216,7 +207,7 @@ class EventQueue {
   // FlatVec keeps the reallocation out of line (see sim/flat_vec.h).
   FlatVec<HeapRec> heap_;
   FlatVec<SlotMeta> meta_;  // dense: liveness/generation only
-  FlatVec<Action*> arena_;  // stable owned chunks of actions (freed in dtor)
+  FlatVec<ActionSlot*> arena_;  // stable owned chunks of actions (freed in dtor)
   std::size_t slot_count_{0};
   FlatVec<std::uint32_t> free_slots_;
   TimingWheel wheel_;

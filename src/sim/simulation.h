@@ -67,7 +67,6 @@ class Simulation {
   EventId after(Duration d, F&& action) {
     return events_.schedule_after(d, std::forward<F>(action));
   }
-  bool cancel(EventId id) { return events_.cancel(id); }
 
   void run() { events_.run(); }
   void run_until(TimePoint t) { events_.run_until(t); }

@@ -66,8 +66,6 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
 }
 
 TcpEndpoint::~TcpEndpoint() {
-  cancel_rto();
-  cancel_delack();
   host_.unregister_flow(net::FlowKey{local_, remote_});
   cc_->unregister_flow(*this);
 }
@@ -110,8 +108,8 @@ void TcpEndpoint::shutdown_write() {
 }
 
 void TcpEndpoint::abort() {
-  cancel_rto();
-  cancel_delack();
+  rto_timer_.cancel();
+  delack_timer_.cancel();
   set_state(TcpState::kClosed);
 }
 
@@ -220,9 +218,9 @@ void TcpEndpoint::send_segment_new(Chunk chunk) {
   ++metrics_.data_packets_sent;
   metrics_.bytes_sent += chunk.len;
   segs_since_ack_ = 0;  // data carries a piggybacked ACK
-  cancel_delack();
+  delack_timer_.cancel();
   host_.send(std::move(p));
-  if (rto_timer_ == sim::kInvalidEventId) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpEndpoint::retransmit(std::uint64_t seq) {
@@ -256,7 +254,7 @@ void TcpEndpoint::retransmit(std::uint64_t seq) {
     metrics_.bytes_sent += payload;
   }
   host_.send(std::move(p));
-  if (rto_timer_ == sim::kInvalidEventId) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpEndpoint::maybe_send_fin() {
@@ -275,7 +273,7 @@ void TcpEndpoint::maybe_send_fin() {
   net::PacketPtr p = make_packet(net::kFlagFin | net::kFlagAck, seq, 0);
   decorate_outgoing(*p);
   host_.send(std::move(p));
-  if (rto_timer_ == sim::kInvalidEventId) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
   set_state(state_ == TcpState::kCloseWait ? TcpState::kLastAck : TcpState::kFinWait);
 }
 
@@ -287,8 +285,8 @@ void TcpEndpoint::on_packet(net::PacketPtr p) {
     if (state_ == TcpState::kClosed || state_ == TcpState::kDone) return;
     const bool during_handshake =
         state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived;
-    cancel_rto();
-    cancel_delack();
+    rto_timer_.cancel();
+    delack_timer_.cancel();
     // Closed before option processing: anything the reset triggers at the
     // MPTCP layer (reinjection pumps) must skip this endpoint.
     set_state(TcpState::kClosed);
@@ -322,7 +320,7 @@ void TcpEndpoint::handle_syn_sent(const net::Packet& p) {
   snd_una_ = 1;
   peer_rwnd_ = p.tcp.wnd;
   rtt_sample(sim().now() - syn_sent_time_);
-  cancel_rto();
+  rto_timer_.cancel();
   become_established();
   send_ack_now();
   pump();
@@ -338,7 +336,7 @@ void TcpEndpoint::handle_syn_received(const net::Packet& p) {
   snd_una_ = 1;
   peer_rwnd_ = p.tcp.wnd;
   rtt_sample(sim().now() - syn_sent_time_);
-  cancel_rto();
+  rto_timer_.cancel();
   become_established();
   // The establishing ACK may carry options and even data.
   process_options(p);
@@ -609,11 +607,8 @@ void TcpEndpoint::ack_received_data(bool out_of_order) {
     send_ack_now();
     return;
   }
-  if (delack_timer_ == sim::kInvalidEventId) {
-    delack_timer_ = sim().after(kDelackTimeout, [this] {
-      delack_timer_ = sim::kInvalidEventId;
-      send_ack_now();
-    });
+  if (!delack_timer_.armed()) {
+    delack_timer_.arm_after(kDelackTimeout, [this] { send_ack_now(); });
   }
 }
 
@@ -623,7 +618,7 @@ void TcpEndpoint::send_ack_now() {
   if (state_ == TcpState::kClosed || state_ == TcpState::kDone) return;
   if (quickack_left_ > 0) --quickack_left_;
   segs_since_ack_ = 0;
-  cancel_delack();
+  delack_timer_.cancel();
   net::PacketPtr p = make_packet(net::kFlagAck, snd_nxt_, 0);
   decorate_outgoing(*p);
   host_.send(std::move(p));
@@ -682,32 +677,14 @@ std::vector<TcpEndpoint::OutstandingMapping> TcpEndpoint::outstanding_mappings()
 // Timers and RTT estimation.
 
 void TcpEndpoint::arm_rto() {
-  cancel_rto();
-  rto_timer_ = sim().after(rto_, [this] {
-    rto_timer_ = sim::kInvalidEventId;
-    on_rto_timer();
-  });
-}
-
-void TcpEndpoint::cancel_rto() {
-  if (rto_timer_ != sim::kInvalidEventId) {
-    sim().cancel(rto_timer_);
-    rto_timer_ = sim::kInvalidEventId;
-  }
+  rto_timer_.arm_after(rto_, [this] { on_rto_timer(); });
 }
 
 void TcpEndpoint::restart_rto_if_needed() {
   if (snd_una_ < snd_nxt_) {
     arm_rto();
   } else {
-    cancel_rto();
-  }
-}
-
-void TcpEndpoint::cancel_delack() {
-  if (delack_timer_ != sim::kInvalidEventId) {
-    sim().cancel(delack_timer_);
-    delack_timer_ = sim::kInvalidEventId;
+    rto_timer_.cancel();
   }
 }
 

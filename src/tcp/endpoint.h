@@ -28,6 +28,7 @@
 
 #include "net/host.h"
 #include "net/packet.h"
+#include "sim/timer.h"
 #include "tcp/config.h"
 #include "tcp/congestion.h"
 #include "tcp/metrics.h"
@@ -225,9 +226,7 @@ class TcpEndpoint : public FlowCc {
 
   // Timers.
   void arm_rto();
-  void cancel_rto();
   void restart_rto_if_needed();
-  void cancel_delack();
 
   // RTT estimation.
   void rtt_sample(sim::Duration sample);
@@ -295,7 +294,7 @@ class TcpEndpoint : public FlowCc {
   sim::Duration srtt_{};
   sim::Duration rttvar_{};
   sim::Duration rto_{kInitialRto};
-  sim::EventId rto_timer_{sim::kInvalidEventId};
+  sim::Timer rto_timer_{host_.sim()};
   sim::TimePoint syn_sent_time_;
 
   // Receiver. Out-of-order segments stay few (bounded by the receive
@@ -306,7 +305,7 @@ class TcpEndpoint : public FlowCc {
   std::uint64_t ooo_bytes_{0};
   std::uint32_t segs_since_ack_{0};
   std::uint32_t quickack_left_{kQuickackSegments};
-  sim::EventId delack_timer_{sim::kInvalidEventId};
+  sim::Timer delack_timer_{host_.sim()};
   bool peer_fin_seen_{false};
   std::uint64_t peer_fin_seq_{0};
   /// DSACK (RFC 2883): duplicate segment range reported in the next ACK's

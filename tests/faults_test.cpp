@@ -269,7 +269,8 @@ FaultOutcome run_faulted(const FaultCase& fc) {
 TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   FaultCase fc;
   // Big enough that the download is still running when the cellular path
-  // finally comes up (give-up ~3.3 s, retry lands just after the restore).
+  // finally comes up (give-up ~3.3 s, the 1 s join retry lands just after
+  // the restore).
   fc.bytes = 16ull << 20;
   fc.seed = 5;
   // Outage from before the join until t=4 s; 1 TCP retry means the endpoint
@@ -277,7 +278,6 @@ TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   // recover the path.
   fc.faults.outage(0.0, "cell").restore(4.0, "cell");
   fc.cfg.subflow.max_syn_retries = 1;
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
@@ -301,7 +301,6 @@ TEST(JoinRecovery, JoinSurvivesBernoulliLossEpisode) {
       .burst_loss(0.0, "cell",
                   {.p_good_to_bad = 0.5, .p_bad_to_good = 0.5, .loss_good = 0.4, .loss_bad = 0.4})
       .loss_clear(6.0, "cell");
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.conn_delivered, fc.bytes);
@@ -320,7 +319,6 @@ TEST(JoinRecovery, AddAddrPathsComeUpUnderLoss) {
       .burst_loss(0.0, "wifi",
                   {.p_good_to_bad = 0.5, .p_bad_to_good = 0.5, .loss_good = 0.3, .loss_bad = 0.3})
       .loss_clear(5.0, "wifi");
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.conn_delivered, fc.bytes);
@@ -389,13 +387,12 @@ TEST(AllPathsDead, ClientFailsWhenEveryInterfaceGoesAway) {
   // range of everything). REMOVE_ADDR kills every subflow at the client;
   // with no viable path past the deadline the client app gets an error.
   fc.faults.iface_down(1.5, "wifi").iface_down(1.5, "cell");
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed) << "connection must fail, not hang until the test deadline";
-  // Failure arrives around interface removal + the 5 s dead deadline — far
-  // before the 120 s harness deadline.
-  EXPECT_LT(out.error_s, 60.0);
+  // Failure arrives at interface removal + the 90 s dead deadline, before
+  // the 120 s harness deadline.
+  EXPECT_NEAR(out.error_s, 91.5, 1e-6);
 }
 
 // An ifdown while the MP_CAPABLE handshake is in flight kills the only
@@ -406,28 +403,26 @@ TEST(AllPathsDead, IfdownDuringCapableHandshakeFailsTheConnection) {
   FaultCase fc;
   fc.bytes = 1ull << 20;
   fc.seed = 5;
-  fc.deadline_s = 30;
+  fc.deadline_s = 200;
   fc.faults.iface_down(0.005, "wifi").iface_up(0.505, "wifi");
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed);
   EXPECT_EQ(out.conn_delivered, 0u);
   EXPECT_EQ(out.subflows, 1u) << "the ifup must open no subflow";
-  EXPECT_NEAR(out.error_s, 5.005, 1e-6);  // ifdown + all_paths_dead_timeout
+  EXPECT_NEAR(out.error_s, 90.005, 1e-6);  // ifdown + the 90 s dead deadline
 }
 
 TEST(AllPathsDead, SenderFailsDuringEndlessBlackout) {
   FaultCase fc;
   fc.bytes = 8ull << 20;
   fc.seed = 13;
-  fc.deadline_s = 30;
+  fc.deadline_s = 200;
   // Silent blackout of both links: no interface events, every packet
   // dropped. Only the data sender (the server, which has unacked data and
   // sees the RTO spiral) can detect this — exactly TCP's ETIMEDOUT
   // semantics; an idle receiver has no signal to act on.
   fc.faults.outage(1.5, "wifi").outage(1.5, "cell");
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.server_failed) << "the sender must error out of the RTO spiral";
@@ -440,7 +435,6 @@ TEST(AllPathsDead, InitialHandshakeGivesUpWithError) {
   fc.deadline_s = 120;
   fc.faults.outage(0.0, "wifi").outage(0.0, "cell");  // nothing ever gets out
   fc.cfg.subflow.max_syn_retries = 2;
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed);

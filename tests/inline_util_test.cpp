@@ -1,110 +1,84 @@
 // Unit tests for the inline-storage building blocks of the zero-allocation
-// packet hot path: InlineFunction (event-queue actions) and InlineVec
-// (SACK blocks).
+// packet hot path: ActionSlot (event-queue actions) and InlineVec (SACK
+// blocks).
 #include <cstdint>
-#include <memory>
-#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "sim/inline_function.h"
+#include "sim/action_slot.h"
 #include "sim/inline_vec.h"
 
 namespace mpr::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// InlineFunction.
+// ActionSlot: built in place, then run once or dropped, never moved.
 
-using Fn = InlineFunction<void(), 64>;
-
-TEST(InlineFunction, DefaultConstructedIsEmpty) {
-  Fn f;
-  EXPECT_FALSE(static_cast<bool>(f));
-  EXPECT_TRUE(f == nullptr);
-}
-
-TEST(InlineFunction, InvokesCapturedClosure) {
-  int calls = 0;
-  Fn f{[&calls] { ++calls; }};
-  ASSERT_TRUE(static_cast<bool>(f));
-  f();
-  f();
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(InlineFunction, ReturnsValueAndForwardsArguments) {
-  InlineFunction<int(int, int), 64> add{[](int a, int b) { return a + b; }};
-  EXPECT_EQ(add(2, 3), 5);
-}
-
-TEST(InlineFunction, MoveTransfersClosureAndEmptiesSource) {
-  int calls = 0;
-  Fn a{[&calls] { ++calls; }};
-  Fn b{std::move(a)};
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(InlineFunction, MoveAssignReplacesAndDestroysOldClosure) {
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> alive = token;
-  Fn f{[held = std::move(token)] { (void)held; }};
-  EXPECT_FALSE(alive.expired());
-  int calls = 0;
-  f = Fn{[&calls] { ++calls; }};
-  EXPECT_TRUE(alive.expired());  // old closure destroyed exactly once
-  f();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(InlineFunction, ResetAndNullAssignDestroyClosure) {
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> alive = token;
-  Fn f{[held = std::move(token)] { (void)held; }};
-  f.reset();
-  EXPECT_TRUE(alive.expired());
-  EXPECT_FALSE(static_cast<bool>(f));
-
-  auto token2 = std::make_shared<int>(2);
-  std::weak_ptr<int> alive2 = token2;
-  f = [held = std::move(token2)] { (void)held; };
-  EXPECT_FALSE(alive2.expired());
-  f = nullptr;
-  EXPECT_TRUE(alive2.expired());
-}
-
-TEST(InlineFunction, DestructorReleasesClosureState) {
-  auto token = std::make_shared<int>(3);
-  std::weak_ptr<int> alive = token;
-  {
-    Fn f{[held = std::move(token)] { (void)held; }};
-    EXPECT_FALSE(alive.expired());
+/// Counts calls and the destruction of the instance the slot holds (the
+/// caller's moved-from temporary does not count).
+struct CountingAction {
+  int* calls;
+  int* destroyed;
+  bool owner{true};
+  CountingAction(int* c, int* d) : calls{c}, destroyed{d} {}
+  CountingAction(CountingAction&& other) noexcept
+      : calls{other.calls}, destroyed{other.destroyed} {
+    other.owner = false;
   }
-  EXPECT_TRUE(alive.expired());
+  CountingAction(const CountingAction&) = delete;
+  ~CountingAction() {
+    if (owner) ++*destroyed;
+  }
+  void operator()() const { ++*calls; }
+};
+
+TEST(ActionSlot, RunsOnceAndIsDestroyedOnce) {
+  int calls = 0;
+  int destroyed = 0;
+  {
+    ActionSlot slot;
+    slot.emplace(CountingAction{&calls, &destroyed});
+    EXPECT_EQ(destroyed, 0);
+    slot.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(destroyed, 1) << "run() destroys the closure it ran";
+    slot.drop();  // the slot is empty again: nothing left to destroy
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);
 }
 
-TEST(InlineFunction, MovedHandleStillOwnsMoveOnlyCapture) {
-  // A move-only capture (the PacketPtr pattern) must survive relocation
-  // through the handle's move constructor.
-  auto box = std::make_unique<int>(42);
-  InlineFunction<int(), 64> f{[b = std::move(box)] { return *b; }};
-  InlineFunction<int(), 64> g{std::move(f)};
-  EXPECT_EQ(g(), 42);
+TEST(ActionSlot, DestroyedOnDropAndAtTeardown) {
+  int calls = 0;
+  int destroyed = 0;
+  {
+    ActionSlot slot;
+    // Cancel: the queue drops the closure without running it.
+    slot.emplace(CountingAction{&calls, &destroyed});
+    slot.drop();
+    EXPECT_EQ(destroyed, 1);
+    slot.drop();
+    EXPECT_EQ(destroyed, 1) << "a second drop() destroyed the closure again";
+    // Teardown: a closure still pending when the arena goes away.
+    slot.emplace(CountingAction{&calls, &destroyed});
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(calls, 0);
 }
 
-TEST(InlineFunction, AcceptsCaptureAtExactCapacity) {
+TEST(ActionSlot, AcceptsCaptureAtExactCapacity) {
   struct Pad {
     unsigned char bytes[64];
   };
-  static_assert(sizeof(Pad) == Fn::capacity());
+  static_assert(sizeof(Pad) == kEventActionCapacity);
+  static int seen = 0;
   Pad pad{};
   pad.bytes[63] = 9;
-  InlineFunction<int(), 64> f{[pad] { return static_cast<int>(pad.bytes[63]); }};
-  EXPECT_EQ(f(), 9);
-  // A 65-byte closure would fail the static_assert in emplace() — enforced
+  ActionSlot slot;
+  slot.emplace([pad] { seen = pad.bytes[63]; });
+  slot.run();
+  EXPECT_EQ(seen, 9);
+  // A 65-byte closure would fail the static_assert in emplace(), enforced
   // at compile time, so there is nothing to test at runtime.
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the simulation core: time arithmetic, the event queue's
-// ordering/cancellation semantics, deterministic RNG streams, and the
-// campaign's parallel index loop.
+// ordering/cancellation semantics, deterministic RNG streams, the
+// campaign's parallel index loop, and the components' Timer handle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "sim/timer.h"
 
 namespace mpr::sim {
 namespace {
@@ -578,7 +579,7 @@ TEST(SimulationTest, SchedulingHelpers) {
   int count = 0;
   sim.after(Duration::millis(1), [&] { ++count; });
   const EventId id = sim.after(Duration::millis(2), [&] { ++count; });
-  sim.cancel(id);
+  sim.events().cancel(id);
   sim.run();
   EXPECT_EQ(count, 1);
 }
@@ -641,6 +642,93 @@ TEST(SimulationTest, RunWhileReturnsWhenQueueDrains) {
   EXPECT_EQ(fired, 2);
   EXPECT_TRUE(sim.events().empty());
   EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(2));
+}
+
+// --- Timer: the one handle a component keeps on its pending event.
+
+TEST(TimerTest, RearmCancelsThePendingEvent) {
+  Simulation sim{1};
+  Timer timer{sim};
+  std::vector<TimePoint> ran;
+  timer.arm_at(TimePoint::from_ns(100), [&] { ran.push_back(sim.now()); });
+  EXPECT_EQ(sim.events().pending(), 1u);
+  timer.arm_at(TimePoint::from_ns(200), [&] { ran.push_back(sim.now()); });
+  EXPECT_EQ(sim.events().pending(), 1u);
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<TimePoint>{TimePoint::from_ns(200)}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(TimerTest, FiredTimerIsDisarmedInItsCallbackAndMayRearm) {
+  Simulation sim{1};
+  Timer timer{sim};
+  std::vector<std::int64_t> fired_at;
+  struct Tick {
+    Simulation* sim;
+    Timer* timer;
+    std::vector<std::int64_t>* fired_at;
+    void operator()() const {
+      EXPECT_FALSE(timer->armed()) << "the event forgets itself before the closure runs";
+      fired_at->push_back(sim->now().ns());
+      if (fired_at->size() < 3) timer->arm_after(Duration::nanos(10), *this);
+    }
+  };
+  timer.arm_at(TimePoint::from_ns(10), Tick{&sim, &timer, &fired_at});
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{10, 20, 30}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_TRUE(sim.events().empty());
+}
+
+TEST(TimerTest, EachArmDrawsOneSeqInCallOrder) {
+  Simulation sim{1};
+  Timer first{sim};
+  Timer second{sim};
+  std::vector<int> order;
+  // Same instant: FIFO by schedule order, timer or not.
+  const TimePoint t = TimePoint::from_ns(100);
+  first.arm_at(t, [&] { order.push_back(0); });
+  sim.at(t, [&] { order.push_back(1); });
+  second.arm_at(t, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // A re-arm draws a fresh seq: the timer now runs after the plain event.
+  order.clear();
+  const TimePoint t2 = TimePoint::from_ns(200);
+  first.arm_at(t2, [&] { order.push_back(0); });
+  sim.at(t2, [&] { order.push_back(1); });
+  first.arm_at(t2, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(TimerTest, DestroyingAnArmedTimerCancelsIt) {
+  Simulation sim{1};
+  bool ran = false;
+  {
+    Timer timer{sim};
+    timer.arm_after(Duration::millis(1), [&] { ran = true; });
+    EXPECT_EQ(sim.events().pending(), 1u);
+  }
+  EXPECT_EQ(sim.events().pending(), 0u);
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(TimerTest, CancelAfterFireLeavesTheSlotsNextOccupantAlone) {
+  Simulation sim{1};
+  Timer timer{sim};
+  int timer_runs = 0;
+  timer.arm_at(TimePoint::from_ns(10), [&] { ++timer_runs; });
+  sim.run();  // fires; its slot goes back to the free list
+  bool ran = false;
+  sim.at(TimePoint::from_ns(20), [&] { ran = true; });  // takes that slot
+  timer.cancel();
+  EXPECT_EQ(sim.events().pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(timer_runs, 1);
 }
 
 }  // namespace

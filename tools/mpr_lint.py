@@ -44,6 +44,12 @@ cuts by rule:
                   TcpSegment::OptBit) or justify the optional with
                   `mpr-lint: allow(hot-struct-optional)`. Return types and
                   locals are fine -- only member declarations are flagged.
+  event-id        sim::EventId / kInvalidEventId outside src/sim: a
+                  component holds its pending event in a sim::Timer
+                  (sim/timer.h), which cancels before re-arming, forgets
+                  the event before it runs and cancels on destruction. A
+                  raw handle re-grows the hand-kept checks the Timer
+                  replaced.
 
 Escape hatch: a line carrying (or immediately preceded by) the comment
 
@@ -107,6 +113,11 @@ PTR_KEY_RE = re.compile(r"std::(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?[\w:]+(?
 # Any std::map/std::set instantiation (never matches the unordered_ variants:
 # the regex requires `map`/`set` directly after the `std::` qualifier).
 ORDERED_CONTAINER_RE = re.compile(r"std::(?:multi)?(?:map|set)\s*<")
+
+# Directories where raw event handles may appear: the event queue and the
+# Timer that wraps its handles.
+EVENT_ID_DIRS = ("sim/",)
+EVENT_ID_RE = re.compile(r"\b(?:EventId|kInvalidEventId)\b")
 
 # Files whose structs ride the per-packet hot path: no std::optional members.
 HOT_STRUCT_FILES = ("net/packet.h", "tcp/seg_ring.h")
@@ -321,6 +332,7 @@ def lint_file(path: Path, rel: str, unordered_iter: list[tuple[re.Pattern, str]]
     in_raw_new_scope = any(f"/{d}" in f"/{rel}" for d in RAW_NEW_DIRS)
     in_hot_path_scope = any(f"/{d}" in f"/{rel}" for d in ORDERED_CONTAINER_DIRS)
     in_hot_struct_scope = any(f"/{rel}".endswith(f"/{f}") for f in HOT_STRUCT_FILES)
+    in_event_id_scope = not any(f"/{d}" in f"/{rel}" for d in EVENT_ID_DIRS)
 
     def add(idx: int, rule: str, message: str) -> None:
         if rule in allowed_rules(raw_lines, code_lines, idx):
@@ -344,6 +356,9 @@ def lint_file(path: Path, rel: str, unordered_iter: list[tuple[re.Pattern, str]]
                 "std::map/std::set in a hot-path file (node per element; use "
                 "tcp::SegRing for sequence keys or a flat sorted vector, or justify "
                 "with allow(ordered-container))")
+        if in_event_id_scope and EVENT_ID_RE.search(line):
+            add(idx, "event-id",
+                "raw event handle outside src/sim (hold the pending event in a sim::Timer)")
         if in_raw_new_scope:
             if (NEW_RE.search(line) or DELETE_RE.search(line)) and not EQ_DELETE_RE.search(line):
                 add(idx, "raw-new", "raw new/delete in the packet hot path (use PacketPool / owned containers)")

@@ -132,6 +132,18 @@ class RawNewRule(LintFixture):
         self.assertEqual(rules, [])
 
 
+class EventIdRule(LintFixture):
+    def test_raw_handle_flagged_outside_sim(self):
+        rules, _ = self.lint(
+            "sim::EventId rto_timer_{sim::kInvalidEventId};\n", rel="tcp/endpoint.h"
+        )
+        self.assertEqual(rules, ["event-id"])
+
+    def test_raw_handle_not_flagged_in_sim(self):
+        rules, _ = self.lint("EventId id_{kInvalidEventId};\n", rel="sim/timer.h")
+        self.assertEqual(rules, [])
+
+
 class PtrKeyRule(LintFixture):
     def test_ptr_keyed_map_flagged(self):
         rules, _ = self.lint("std::map<const Subflow*, int> order_;\n")
