@@ -48,7 +48,7 @@ TEST(ActionSlot, RunsOnceAndIsDestroyedOnce) {
   EXPECT_EQ(destroyed, 1);
 }
 
-TEST(ActionSlot, DestroyedOnDropAndAtTeardown) {
+TEST(ActionSlot, DestroyedOnDrop) {
   int calls = 0;
   int destroyed = 0;
   {
@@ -59,10 +59,25 @@ TEST(ActionSlot, DestroyedOnDropAndAtTeardown) {
     EXPECT_EQ(destroyed, 1);
     slot.drop();
     EXPECT_EQ(destroyed, 1) << "a second drop() destroyed the closure again";
-    // Teardown: a closure still pending when the arena goes away.
+    // The dropped slot takes a new closure, which drop() destroys too.
     slot.emplace(CountingAction{&calls, &destroyed});
+    slot.drop();
+    EXPECT_EQ(destroyed, 2);
   }
-  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(destroyed, 2) << "teardown destroyed an already dropped closure";
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ActionSlot, DestroyedAtTeardown) {
+  int calls = 0;
+  int destroyed = 0;
+  {
+    ActionSlot slot;
+    // A closure still pending when the arena goes away.
+    slot.emplace(CountingAction{&calls, &destroyed});
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
   EXPECT_EQ(calls, 0);
 }
 
