@@ -25,6 +25,7 @@ class MockFlow final : public tcp::FlowCc {
   std::uint64_t bytes_in_flight() const override { return static_cast<std::uint64_t>(cwnd_); }
 
   double cwnd_pkts() const { return cwnd_ / mss_; }
+  void set_srtt_ms(double ms) { rtt_ = sim::Duration::from_millis(ms); }
 
  private:
   double cwnd_;
@@ -305,6 +306,91 @@ TEST(Olia, UnregisterRemovesPathFromFormulas) {
   cc.on_ack(a, 1400);
   // Back to single-path reno behaviour.
   EXPECT_NEAR(a.cwnd_bytes() - before, 1400.0 * 1400.0 / before, 0.5);
+}
+
+// --- Vegas ----------------------------------------------------------------
+// One decision per epoch (a window of acked bytes): with diff =
+// (w/MSS)·(srtt - base_rtt)/srtt, +1 MSS below alpha = 2, -1 MSS above
+// beta = 4, and slow start ends above gamma = 1.
+
+TEST(Vegas, RisesOneMssPerEpochWhenSrttIsTheBaseRtt) {
+  tcp::VegasCc cc;
+  MockFlow f{20, 50};
+  f.set_ssthresh_bytes(2800);  // congestion avoidance
+  cc.register_flow(f);
+  for (int i = 0; i < 19; ++i) cc.on_ack(f, 1400);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 28000.0);  // epoch not closed yet
+  cc.on_ack(f, 1400);                          // 20 segments = one window
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 29400.0);   // diff = 0 < alpha
+}
+
+TEST(Vegas, FallsOneMssWhenQueueEstimateIsAboveBeta) {
+  tcp::VegasCc cc;
+  MockFlow f{20, 50};
+  f.set_ssthresh_bytes(2800);
+  cc.register_flow(f);
+  cc.on_ack(f, 1400);  // base RTT = 50 ms
+  f.set_srtt_ms(100);
+  cc.on_ack(f, 26600);  // closes the epoch: diff = 20·50/100 = 10 > beta
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 26600.0);
+}
+
+TEST(Vegas, SlowStartEndsWhenQueueEstimateIsAboveGamma) {
+  tcp::VegasCc cc;
+  MockFlow f{10, 50};
+  f.set_ssthresh_bytes(1 << 20);
+  cc.register_flow(f);
+  cc.on_ack(f, 14000);  // base RTT = 50 ms; slow start to 28 000 B
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 28000.0);
+  // Slow start grows the window by every acked byte, so an epoch closes in
+  // slow start only after a cut from outside the controller (penalization).
+  f.set_cwnd_bytes(14000);
+  f.set_srtt_ms(100);
+  cc.on_ack(f, 1400);  // epoch 15 400 B >= window: diff = 11·50/100 > gamma
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 15400.0);
+  EXPECT_EQ(f.ssthresh_bytes(), 15400u);
+  EXPECT_FALSE(f.in_slow_start());
+}
+
+TEST(Vegas, LossResponseIsNewRenos) {
+  for (const double pkts : {2.0, 3.0, 20.0, 41.0}) {
+    for (const bool rto : {false, true}) {
+      tcp::VegasCc vegas;
+      tcp::NewRenoCc reno;
+      MockFlow v{pkts, 50};
+      MockFlow r{pkts, 50};
+      vegas.register_flow(v);
+      reno.register_flow(r);
+      vegas.on_ack(v, 1400);
+      reno.on_ack(r, 1400);
+      if (rto) {
+        vegas.on_rto(v);
+        reno.on_rto(r);
+      } else {
+        vegas.on_loss_event(v);
+        reno.on_loss_event(r);
+      }
+      EXPECT_DOUBLE_EQ(v.cwnd_bytes(), r.cwnd_bytes()) << pkts << " rto=" << rto;
+      EXPECT_EQ(v.ssthresh_bytes(), r.ssthresh_bytes()) << pkts << " rto=" << rto;
+    }
+  }
+}
+
+TEST(Vegas, RtoRelearnsTheBaseRtt) {
+  tcp::VegasCc cc;
+  MockFlow f{20, 50};
+  f.set_ssthresh_bytes(2800);
+  cc.register_flow(f);
+  cc.on_ack(f, 1400);  // base RTT = 50 ms
+  f.set_srtt_ms(100);
+  cc.on_rto(f);  // cwnd 1 MSS, ssthresh 14 000 B
+  for (int i = 0; i < 9; ++i) cc.on_ack(f, 1400);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 14000.0);  // slow start up to ssthresh
+  // The epoch restarted at the RTO and closes now. The base RTT was
+  // relearned as 100 ms, so diff = 0 and the window rises; a kept 50 ms
+  // base would read diff = 10·50/100 = 5 > beta and cut it to 12 600 B.
+  cc.on_ack(f, 1400);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 15400.0);
 }
 
 TEST(UncoupledReno, SharedInstanceKeepsFlowsIndependent) {
