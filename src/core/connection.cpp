@@ -952,9 +952,8 @@ void MptcpConnection::maybe_penalize() {
   }
   if (victim == nullptr) return;
   const sim::TimePoint now = host_.sim().now();
-  const auto it = last_penalty_.find(victim);
-  if (it != last_penalty_.end() && now - it->second < victim->srtt()) return;
-  last_penalty_[victim] = now;
+  if (victim->last_penalty && now - *victim->last_penalty < victim->srtt()) return;
+  victim->last_penalty = now;
   victim->set_ssthresh_bytes(static_cast<std::uint64_t>(victim->cwnd_bytes() / 2.0));
   victim->set_cwnd_bytes(victim->cwnd_bytes() / 2.0);
   ++penalizations_;

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -359,8 +358,6 @@ class MptcpConnection {
   /// sender, so it arrives many times).
   std::unordered_set<std::uint64_t> mp_fail_seen_;
 
-  // Penalization bookkeeping.
-  std::unordered_map<const MptcpSubflow*, sim::TimePoint> last_penalty_;
   std::uint64_t penalizations_{0};
   bool pumping_all_{false};
   /// pump_all's established subflows in pumping order, refilled per call.

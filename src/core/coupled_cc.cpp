@@ -16,6 +16,12 @@ double rtt_seconds(const tcp::FlowCc& f) {
   return std::max(f.srtt().to_seconds(), 1e-4);
 }
 
+/// OLIA's inter-loss byte estimate l_i: the larger of the current and the
+/// last complete inter-loss interval.
+double smoothed_bytes(const tcp::FlowCc& f) {
+  return std::max(f.cc_state.bytes_since_loss, f.cc_state.bytes_between_last_losses);
+}
+
 }  // namespace
 
 std::string to_string(CcKind k) {
@@ -70,26 +76,6 @@ double LiaCc::ca_increase_bytes(tcp::FlowCc& flow, std::uint64_t acked_bytes) {
 // ---------------------------------------------------------------------------
 // OLIA.
 
-void OliaCc::register_flow(tcp::FlowCc& flow) {
-  RenoFamilyCc::register_flow(flow);
-  paths_.emplace(&flow, PathState{});
-}
-
-void OliaCc::unregister_flow(tcp::FlowCc& flow) {
-  RenoFamilyCc::unregister_flow(flow);
-  paths_.erase(&flow);
-}
-
-void OliaCc::note_bytes_acked(tcp::FlowCc& flow, std::uint64_t acked) {
-  paths_[&flow].bytes_since_loss += static_cast<double>(acked);
-}
-
-void OliaCc::note_loss(tcp::FlowCc& flow) {
-  PathState& st = paths_[&flow];
-  st.bytes_between_last_losses = st.bytes_since_loss;
-  st.bytes_since_loss = 0.0;
-}
-
 double OliaCc::alpha_for(const tcp::FlowCc& flow) const {
   const auto& all = flows();
   const std::size_t n = all.size();
@@ -99,8 +85,7 @@ double OliaCc::alpha_for(const tcp::FlowCc& flow) const {
   double best_quality = -1.0;
   double max_w = -1.0;
   for (const tcp::FlowCc* f : all) {
-    const auto it = paths_.find(f);
-    const double l = it != paths_.end() ? it->second.smoothed_bytes() : 0.0;
+    const double l = smoothed_bytes(*f);
     best_quality = std::max(best_quality, l * l / rtt_seconds(*f));
     max_w = std::max(max_w, wnd_pkts(*f));
   }
@@ -110,8 +95,7 @@ double OliaCc::alpha_for(const tcp::FlowCc& flow) const {
   bool flow_in_best_not_max = false;
   bool flow_in_max = false;
   for (const tcp::FlowCc* f : all) {
-    const auto it = paths_.find(f);
-    const double l = it != paths_.end() ? it->second.smoothed_bytes() : 0.0;
+    const double l = smoothed_bytes(*f);
     const bool is_best = l * l / rtt_seconds(*f) >= best_quality * kRel;
     const bool is_max = wnd_pkts(*f) >= max_w * kRel;
     if (is_max) {

@@ -1,7 +1,8 @@
 // MPTCP congestion controllers (paper §2.2.2).
 //
-// All three share slow start and halve-on-loss (inherited from
-// RenoFamilyCc); they differ in the congestion-avoidance increase:
+// All four share the loss response (tcp::CongestionControl's) and the
+// first three share slow start (tcp::RenoFamilyCc's); they differ in the
+// congestion-avoidance increase:
 //
 //  reno    — uncoupled New Reno on every subflow (tcp::NewRenoCc shared
 //            across subflows; its increase uses only per-flow state, so a
@@ -13,7 +14,7 @@
 //              w_i += (w_i/rtt_i^2) / (sum_p w_p/rtt_p)^2 + alpha_i/w_i,
 //            where alpha_i shifts window between "best" paths (largest
 //            inter-loss throughput estimate l_i^2/rtt_i) and max-window
-//            paths.
+//            paths. l_i is read from each flow's tcp::CcState.
 //  vegas   — delay-based, uncoupled (tcp::VegasCc shared across subflows):
 //            each path nudges its window by one MSS per RTT toward an
 //            alpha..beta packet queue-occupancy target.
@@ -26,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "tcp/congestion.h"
 
@@ -47,30 +47,15 @@ class LiaCc final : public tcp::RenoFamilyCc {
 
 /// OLIA — Khalili et al.
 class OliaCc final : public tcp::RenoFamilyCc {
- public:
-  void register_flow(tcp::FlowCc& flow) override;
-  void unregister_flow(tcp::FlowCc& flow) override;
-
  protected:
   double ca_increase_bytes(tcp::FlowCc& flow, std::uint64_t acked_bytes) override;
   // OLIA's coupled term is bounded by 1/w_i and its alpha term by 0.5/w_i,
   // so the per-ack increase can legitimately reach 1.5x the Reno reference.
   [[nodiscard]] double ca_increase_cap_factor() const override { return 1.5; }
-  void note_bytes_acked(tcp::FlowCc& flow, std::uint64_t acked) override;
-  void note_loss(tcp::FlowCc& flow) override;
 
  private:
-  struct PathState {
-    double bytes_since_loss{0};          // l1_i
-    double bytes_between_last_losses{0};  // l2_i
-    [[nodiscard]] double smoothed_bytes() const {
-      return std::max(bytes_since_loss, bytes_between_last_losses);
-    }
-  };
   /// alpha_i for `flow` given the current path sets (|R| = #flows).
   [[nodiscard]] double alpha_for(const tcp::FlowCc& flow) const;
-
-  std::unordered_map<const tcp::FlowCc*, PathState> paths_;
 };
 
 }  // namespace mpr::core

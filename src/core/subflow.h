@@ -35,6 +35,9 @@ class MptcpSubflow final : public tcp::TcpEndpoint {
   /// Data-level bytes the scheduler has assigned to this subflow (used by
   /// the round-robin policy's deficit ordering).
   [[nodiscard]] std::uint64_t scheduled_bytes() const { return scheduled_bytes_; }
+  /// When the connection last halved this subflow's window for holding up
+  /// the data stream (sender-side penalization); unset until it first does.
+  std::optional<sim::TimePoint> last_penalty;
 
  protected:
   std::optional<Chunk> next_chunk(std::uint32_t max_len) override;

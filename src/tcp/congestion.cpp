@@ -1,11 +1,47 @@
 #include "tcp/congestion.h"
 
+#include <algorithm>
+
 #include "check/audit.h"
 
 namespace mpr::tcp {
 
+namespace {
+
+// A loss closes OLIA's inter-loss interval and restarts the Vegas epoch.
+void close_loss_interval(CcState& st) {
+  st.bytes_between_last_losses = st.bytes_since_loss;
+  st.bytes_since_loss = 0.0;
+  st.epoch_bytes = 0;
+}
+
+}  // namespace
+
+void CongestionControl::on_loss_event(FlowCc& flow) {
+  close_loss_interval(flow.cc_state);
+  const double floor = 2.0 * flow.mss();
+  const double halved = std::max(flow.cwnd_bytes() / 2.0, floor);
+  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(halved));
+  flow.set_cwnd_bytes(halved);
+#if MPR_AUDIT
+  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
+#endif
+}
+
+void CongestionControl::on_rto(FlowCc& flow) {
+  close_loss_interval(flow.cc_state);
+  flow.cc_state.base_rtt = sim::Duration{};
+  const double half_flight =
+      std::max(static_cast<double>(flow.bytes_in_flight()) / 2.0, 2.0 * flow.mss());
+  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(half_flight));
+  flow.set_cwnd_bytes(static_cast<double>(flow.mss()));
+#if MPR_AUDIT
+  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
+#endif
+}
+
 void RenoFamilyCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
-  note_bytes_acked(flow, acked_bytes);
+  flow.cc_state.bytes_since_loss += static_cast<double>(acked_bytes);
   if (flow.in_slow_start()) {
     // Standard slow start with appropriate byte counting: grow by the number
     // of bytes acknowledged (doubles the window per RTT with per-packet
@@ -31,46 +67,11 @@ void RenoFamilyCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
 #endif
 }
 
-void RenoFamilyCc::on_loss_event(FlowCc& flow) {
-  note_loss(flow);
-  const double floor = 2.0 * flow.mss();
-  const double halved = std::max(flow.cwnd_bytes() / 2.0, floor);
-  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(halved));
-  flow.set_cwnd_bytes(halved);
-#if MPR_AUDIT
-  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
-#endif
-}
-
-void RenoFamilyCc::on_rto(FlowCc& flow) {
-  note_loss(flow);
-  const double half_flight =
-      std::max(static_cast<double>(flow.bytes_in_flight()) / 2.0, 2.0 * flow.mss());
-  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(half_flight));
-  flow.set_cwnd_bytes(static_cast<double>(flow.mss()));
-#if MPR_AUDIT
-  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Vegas.
 
-void VegasCc::register_flow(FlowCc& flow) {
-  CongestionControl::register_flow(flow);
-  states_.emplace(&flow, State{});
-}
-
-void VegasCc::unregister_flow(FlowCc& flow) {
-  CongestionControl::unregister_flow(flow);
-  states_.erase(&flow);
-}
-
 void VegasCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
-  const auto it = states_.find(&flow);
-  if (it == states_.end()) return;
-  State& st = it->second;
-
+  CcState& st = flow.cc_state;
   const sim::Duration rtt = flow.srtt();
   if (st.base_rtt.ns() == 0 || rtt < st.base_rtt) st.base_rtt = rtt;
 
@@ -114,34 +115,6 @@ void VegasCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
   if (delta != 0.0) flow.set_cwnd_bytes(cwnd + delta);
 #if MPR_AUDIT
   check::cc_vegas_adjust(delta, flow.mss(), flow.cwnd_bytes());
-  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
-#endif
-}
-
-void VegasCc::on_loss_event(FlowCc& flow) {
-  const double floor = 2.0 * flow.mss();
-  const double halved = std::max(flow.cwnd_bytes() / 2.0, floor);
-  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(halved));
-  flow.set_cwnd_bytes(halved);
-  if (const auto it = states_.find(&flow); it != states_.end()) {
-    it->second.epoch_bytes = 0;
-  }
-#if MPR_AUDIT
-  check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
-#endif
-}
-
-void VegasCc::on_rto(FlowCc& flow) {
-  const double half_flight =
-      std::max(static_cast<double>(flow.bytes_in_flight()) / 2.0, 2.0 * flow.mss());
-  flow.set_ssthresh_bytes(static_cast<std::uint64_t>(half_flight));
-  flow.set_cwnd_bytes(static_cast<double>(flow.mss()));
-  if (const auto it = states_.find(&flow); it != states_.end()) {
-    it->second.epoch_bytes = 0;
-    // The path may have changed across an outage; relearn the floor.
-    it->second.base_rtt = sim::Duration{};
-  }
-#if MPR_AUDIT
   check::cc_bounds(flow.cwnd_bytes(), flow.ssthresh_bytes(), flow.mss());
 #endif
 }

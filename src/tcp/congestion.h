@@ -7,17 +7,29 @@
 //
 // All controllers in the paper share the same slow-start and
 // multiplicative-decrease behaviour and differ only in the
-// congestion-avoidance increase; RenoFamilyCc factors that out.
+// congestion-avoidance increase; RenoFamilyCc factors that out. The loss
+// response (halve on a loss event, collapse to 1 MSS on an RTO) is
+// CongestionControl's own, so Vegas shares it too. What a controller keeps
+// per flow lives in the flow's CcState, as Linux keeps it in the socket
+// (inet_csk_ca), not in a table beside it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace mpr::tcp {
+
+/// What the controllers keep per flow. Plain data in the flow itself,
+/// zeroed by CongestionControl::register_flow; each controller reads only
+/// its own fields.
+struct CcState {
+  double bytes_since_loss{0};           // OLIA l1_i: acked since the last loss
+  double bytes_between_last_losses{0};  // OLIA l2_i: acked between the last two
+  std::uint64_t epoch_bytes{0};         // Vegas: acked toward the current epoch
+  sim::Duration base_rtt{};             // Vegas: min srtt seen (zero = no sample)
+};
 
 /// The controller's view of one flow's congestion state. Implemented by
 /// TcpEndpoint. Windows are in bytes (double, so sub-MSS increments
@@ -38,6 +50,8 @@ class FlowCc {
   [[nodiscard]] bool in_slow_start() const {
     return cwnd_bytes() < static_cast<double>(ssthresh_bytes());
   }
+
+  CcState cc_state;
 };
 
 class CongestionControl {
@@ -45,17 +59,20 @@ class CongestionControl {
   virtual ~CongestionControl() = default;
 
   /// Flows must register before generating events and unregister on close.
-  virtual void register_flow(FlowCc& flow) { flows_.push_back(&flow); }
-  virtual void unregister_flow(FlowCc& flow) {
-    std::erase(flows_, &flow);
+  void register_flow(FlowCc& flow) {
+    flow.cc_state = {};
+    flows_.push_back(&flow);
   }
+  void unregister_flow(FlowCc& flow) { std::erase(flows_, &flow); }
 
   /// New data acknowledged on `flow` (acked_bytes > 0).
   virtual void on_ack(FlowCc& flow, std::uint64_t acked_bytes) = 0;
-  /// Loss event detected by fast retransmit (at most once per window).
-  virtual void on_loss_event(FlowCc& flow) = 0;
-  /// Retransmission timeout.
-  virtual void on_rto(FlowCc& flow) = 0;
+  /// Loss event detected by fast retransmit (at most once per window):
+  /// halve the window (w <- w/2, floored at 2 MSS).
+  void on_loss_event(FlowCc& flow);
+  /// Retransmission timeout: collapse the window to 1 MSS and forget the
+  /// base RTT (the path may have changed across an outage).
+  void on_rto(FlowCc& flow);
 
  protected:
   [[nodiscard]] const std::vector<FlowCc*>& flows() const { return flows_; }
@@ -64,15 +81,12 @@ class CongestionControl {
   std::vector<FlowCc*> flows_;
 };
 
-/// Common Reno-family behaviour: standard slow start below ssthresh, halve on
-/// loss (w <- w/2, floored at 2 MSS), collapse to 1 MSS on RTO. Subclasses
-/// supply the congestion-avoidance increase in bytes for `acked_bytes` of
-/// acknowledged data.
+/// Common Reno-family behaviour: standard slow start below ssthresh.
+/// Subclasses supply the congestion-avoidance increase in bytes for
+/// `acked_bytes` of acknowledged data.
 class RenoFamilyCc : public CongestionControl {
  public:
   void on_ack(FlowCc& flow, std::uint64_t acked_bytes) override;
-  void on_loss_event(FlowCc& flow) override;
-  void on_rto(FlowCc& flow) override;
 
  protected:
   [[nodiscard]] virtual double ca_increase_bytes(FlowCc& flow, std::uint64_t acked_bytes) = 0;
@@ -80,9 +94,6 @@ class RenoFamilyCc : public CongestionControl {
   /// relative to an uncoupled New Reno flow. 1.0 for Reno/LIA; OLIA's
   /// rate-balancing alpha term can add up to 0.5/w on top of its coupled term.
   [[nodiscard]] virtual double ca_increase_cap_factor() const { return 1.0; }
-  /// Hook for per-flow bookkeeping (OLIA's inter-loss byte counters).
-  virtual void note_bytes_acked(FlowCc& /*flow*/, std::uint64_t /*acked*/) {}
-  virtual void note_loss(FlowCc& /*flow*/) {}
 };
 
 /// Plain TCP New Reno: w += 1/w per ACK in congestion avoidance. Used for
@@ -103,27 +114,15 @@ class NewRenoCc final : public RenoFamilyCc {
 /// one MSS — up when diff < alpha (the pipe is under-filled), down when
 /// diff > beta (we are building queue). Slow start is byte-counted like
 /// Reno but exits as soon as diff exceeds gamma, well before loss. Loss
-/// handling stays Reno (halve on a loss event, collapse to 1 MSS on RTO):
-/// delay only modulates congestion avoidance. Uncoupled across subflows —
-/// each registered flow keeps its own base-RTT estimate, so on MPTCP the
-/// WiFi and cellular paths probe their queues independently.
+/// handling stays Reno (CongestionControl's): delay only modulates
+/// congestion avoidance. Uncoupled across subflows — each flow keeps its
+/// own base-RTT estimate, so on MPTCP the WiFi and cellular paths probe
+/// their queues independently.
 class VegasCc final : public CongestionControl {
  public:
-  void register_flow(FlowCc& flow) override;
-  void unregister_flow(FlowCc& flow) override;
   void on_ack(FlowCc& flow, std::uint64_t acked_bytes) override;
-  void on_loss_event(FlowCc& flow) override;
-  void on_rto(FlowCc& flow) override;
 
  private:
-  struct State {
-    sim::Duration base_rtt{};      // min smoothed RTT seen (zero = no sample)
-    std::uint64_t epoch_bytes{0};  // acked bytes toward the current epoch
-  };
-  // Per-flow lookup only, never iterated: deterministic regardless of hash
-  // order (same pattern as OliaCc::paths_).
-  std::unordered_map<const FlowCc*, State> states_;
-
   // Thresholds in packets of estimated queue occupancy (Vegas defaults).
   static constexpr double kAlphaPkts = 2.0;
   static constexpr double kBetaPkts = 4.0;
