@@ -1,6 +1,7 @@
 #include "netem/faults.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -160,6 +161,9 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
     auto need = [&](std::size_t n) { return args.size() == n; };
     // Millisecond arguments become sim::Duration when the event applies.
     auto ms_ok = [](double ms) { return ms >= 0 && ms <= sim::kMaxInputSeconds * 1e3; };
+    // Middlebox counts and offsets are integers; the injector would truncate
+    // a fraction.
+    auto whole = [](double v) { return std::floor(v) == v; };
     if (action == "outage" || action == "blackout") {
       if (!need(0)) return fail(line_no, "outage takes no arguments");
       out.outage(at_s, link);
@@ -196,13 +200,16 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
         if (!need(0)) return fail(line_no, "mbox " + sub + " takes no arguments");
         out.middlebox(at_s, link, sub);
       } else if (sub == "nat_seq") {
-        if (!need(1) || args[0] < 0 || args[0] >= 0x1p64) {
-          return fail(line_no, "mbox nat_seq needs an offset in [0, 2^64)");
+        // The offset is read as a double: from 2^53 on, the text no longer
+        // names one integer (9007199254740993 reads as 2^53).
+        if (!need(1) || !whole(args[0]) || args[0] < 0 || args[0] >= 0x1p53) {
+          return fail(line_no, "mbox nat_seq needs a whole offset in [0, 2^53)");
         }
         out.middlebox(at_s, link, sub, args[0]);
       } else if (sub == "split" || sub == "corrupt") {
-        if (!need(1) || args[0] < 1 || args[0] > std::numeric_limits<std::uint32_t>::max()) {
-          return fail(line_no, "mbox " + sub + " needs an every-n count in [1, 2^32)");
+        if (!need(1) || !whole(args[0]) || args[0] < 1 ||
+            args[0] > std::numeric_limits<std::uint32_t>::max()) {
+          return fail(line_no, "mbox " + sub + " needs a whole every-n count in [1, 2^32)");
         }
         out.middlebox(at_s, link, sub, args[0]);
       } else if (sub == "coalesce") {

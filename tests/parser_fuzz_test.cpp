@@ -189,12 +189,17 @@ std::string check_scenario(const std::string& text, bool must_reject = false) {
     const bool ms = ev.kind == FaultEvent::Kind::kDelayAdd ||
                     (ev.kind == FaultEvent::Kind::kMiddlebox && ev.arg == "coalesce");
     if (ms && !(ev.a * 1e-3 <= sim::kMaxInputSeconds)) return "delay outside the clock";
-    if (ev.kind == FaultEvent::Kind::kMiddlebox && ev.arg == "nat_seq" && !(ev.a < 0x1p64)) {
-      return "nat_seq offset beyond 64 bits";
+    const bool mbox = ev.kind == FaultEvent::Kind::kMiddlebox;
+    if (mbox && ev.arg == "nat_seq" && !(ev.a < 0x1p53)) {
+      return "nat_seq offset beyond 2^53, where a double stops naming one integer";
     }
-    if (ev.kind == FaultEvent::Kind::kMiddlebox && (ev.arg == "split" || ev.arg == "corrupt") &&
+    if (mbox && (ev.arg == "split" || ev.arg == "corrupt") &&
         !(ev.a <= std::numeric_limits<std::uint32_t>::max())) {
       return "every-n count beyond 32 bits";
+    }
+    if (mbox && (ev.arg == "nat_seq" || ev.arg == "split" || ev.arg == "corrupt") &&
+        std::floor(ev.a) != ev.a) {
+      return "middlebox count or offset not a whole number";
     }
   }
   return "";
@@ -464,6 +469,20 @@ TEST(ParserFuzzRegression, ScenarioMiddleboxCountBeyondItsTypeIsRejected) {
   EXPECT_NE(scenario_error("1.5 cell mbox split 1e300\n"), "");
   EXPECT_NE(scenario_error("1.0 cell mbox nat_seq 18446744073709551616\n"), "");
   EXPECT_EQ(scenario_error("0.0 cell mbox corrupt 4294967295\n"), "");
+}
+
+TEST(ParserFuzzRegression, ScenarioMiddleboxCountMustBeWhole) {
+  // The injector truncated 2.5 to 2 and 3.7 to 3, and the offset
+  // 9007199254740993 reached it as 2^53.
+  EXPECT_EQ(scenario_error("0.0 wifi mbox split 2.5\n"),
+            "line 1: mbox split needs a whole every-n count in [1, 2^32)");
+  EXPECT_EQ(scenario_error("0.0 cell mbox corrupt 3.7\n"),
+            "line 1: mbox corrupt needs a whole every-n count in [1, 2^32)");
+  EXPECT_EQ(scenario_error("1.0 cell mbox nat_seq 9007199254740993\n"),
+            "line 1: mbox nat_seq needs a whole offset in [0, 2^53)");
+  EXPECT_NE(scenario_error("1.0 cell mbox nat_seq 1000.5\n"), "");
+  EXPECT_EQ(scenario_error("1.0 cell mbox nat_seq 9007199254740991\n"), "");
+  EXPECT_EQ(scenario_error("1.5 cell mbox split 3e2\n"), "");
 }
 
 TEST(ParserFuzzRegression, ScenarioOverflowingLastArgumentIsRejected) {
