@@ -2,7 +2,7 @@
 // (§3.1): initial window of 10 segments, ssthresh 64 KB, SACK on, metric
 // caching disabled (there is no cache in this implementation), 8 MB receive
 // buffer. Settings that no experiment varies are the constants below;
-// TcpConfig holds the ones a bench, a tool or a failure-path test sets.
+// TcpConfig holds the ones a bench or a tool sets.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,12 @@ inline constexpr std::uint32_t kInitialCwndSegments = 10;
 inline constexpr sim::Duration kMinRto = sim::Duration::millis(200);  // Linux TCP_RTO_MIN
 inline constexpr sim::Duration kInitialRto = sim::Duration::seconds(1);
 inline constexpr sim::Duration kMaxRto = sim::Duration::seconds(60);
+
+/// SYN (and SYN-ACK) retransmissions before a handshake gives up (Linux
+/// tcp_syn_retries). The backoff doubles from kInitialRto and the last wait
+/// is capped at kMaxRto, so an active open fails 1 + 2 + 4 + 8 + 16 + 32 +
+/// 60 = 123 s after its first SYN.
+inline constexpr std::uint32_t kMaxSynRetries = 6;
 
 /// Consecutive RTOs after which the path is considered dead (MPTCP uses
 /// this both to fail over and to reinject stranded data).
@@ -51,8 +57,6 @@ struct TcpConfig {
   /// reorder buffer of an MPTCP connection (whose subflows advertise the
   /// connection window, not this one).
   std::uint64_t receive_buffer{8 * 1024 * 1024};
-
-  int max_syn_retries{6};
 
   /// F-RTO spurious-timeout detection (RFC 5682). After an RTO, instead of
   /// immediately go-back-N retransmitting, probe with new data; if the next

@@ -691,7 +691,7 @@ void TcpEndpoint::restart_rto_if_needed() {
 void TcpEndpoint::on_rto_timer() {
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
     const bool active_open = state_ == TcpState::kSynSent;
-    if (++syn_retries_ > config_.max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       set_state(TcpState::kClosed);
       if (active_open) handle_connect_failed();
       return;

@@ -285,7 +285,7 @@ class TcpEndpoint : public FlowCc {
   bool fin_requested_{false};
   bool fin_sent_{false};
   std::uint64_t fin_seq_{0};  // sequence our FIN occupies (once sent)
-  int syn_retries_{0};
+  std::uint32_t syn_retries_{0};
   std::uint32_t consecutive_timeouts_{0};
   bool pumping_{false};
 

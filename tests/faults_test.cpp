@@ -269,15 +269,14 @@ FaultOutcome run_faulted(const FaultCase& fc) {
 TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   FaultCase fc;
   // Big enough that the download is still running when the cellular path
-  // finally comes up (give-up ~3.3 s, the 1 s join retry lands just after
-  // the restore).
-  fc.bytes = 16ull << 20;
+  // finally comes up (the join gives up ~123 s in, and its 1 s retry is
+  // answered just after the restore).
+  fc.bytes = 160ull << 20;
   fc.seed = 5;
-  // Outage from before the join until t=4 s; 1 TCP retry means the endpoint
-  // gives up during the blackout and only the connection-level backoff can
-  // recover the path.
-  fc.faults.outage(0.0, "cell").restore(4.0, "cell");
-  fc.cfg.subflow.max_syn_retries = 1;
+  // Outage from before the join until t=125 s: longer than the join's
+  // tcp::kMaxSynRetries backoff, so the endpoint gives up during the
+  // blackout and only the connection-level retry can recover the path.
+  fc.faults.outage(0.0, "cell").restore(125.0, "cell");
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
@@ -286,7 +285,7 @@ TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   // The cellular subflow eventually joined despite the lost SYNs. The
   // given-up first join attempt stays in the list (closed) beside the
   // retried one.
-  EXPECT_GE(out.subflows, 2u);
+  EXPECT_EQ(out.subflows, 3u);
   EXPECT_EQ(out.established_subflows, 2u);
 }
 
@@ -432,12 +431,13 @@ TEST(AllPathsDead, InitialHandshakeGivesUpWithError) {
   FaultCase fc;
   fc.bytes = 1ull << 20;
   fc.seed = 14;
-  fc.deadline_s = 120;
+  fc.deadline_s = 200;
   fc.faults.outage(0.0, "wifi").outage(0.0, "cell");  // nothing ever gets out
-  fc.cfg.subflow.max_syn_retries = 2;
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed);
+  // The MP_CAPABLE SYN's tcp::kMaxSynRetries backoff: 1+2+4+8+16+32+60 s.
+  EXPECT_DOUBLE_EQ(out.error_s, 123.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -125,10 +125,13 @@ TEST(TcpHandshake, SynAckLossRecovered) {
 TEST(TcpHandshake, GivesUpAfterMaxRetries) {
   TcpRig rig;
   rig.up->set_loss_model(std::make_unique<net::BernoulliLoss>(1.0, rig.sim.rng("all")));
-  TcpConfig cfg;
-  cfg.max_syn_retries = 2;
-  rig.start(cfg);
-  rig.sim.run_for(sim::Duration::seconds(30));
+  rig.start(TcpConfig{});
+  // kMaxSynRetries retransmissions 1, 3, 7, 15, 31 and 63 s in; the last
+  // waits kMaxRto, so the handshake gives up at 123 s.
+  const sim::TimePoint give_up = sim::TimePoint::origin() + sim::Duration::seconds(123);
+  rig.sim.run_until(give_up - sim::Duration::nanos(1));
+  EXPECT_EQ(rig.client_ep->state(), TcpState::kSynSent);
+  rig.sim.run_until(give_up);
   EXPECT_EQ(rig.client_ep->state(), TcpState::kClosed);
 }
 
