@@ -101,7 +101,6 @@ class ScopedAuditHandler {
 class TimeMonotonicAudit {
  public:
   void on_event(std::int64_t when_ns);
-  [[nodiscard]] std::int64_t last_ns() const { return last_ns_; }
 
  private:
   std::int64_t last_ns_{std::numeric_limits<std::int64_t>::min()};
@@ -141,7 +140,6 @@ class ConnAudit {
   void on_deliver(std::uint64_t dsn, std::uint32_t len, std::int64_t time_ns);
 
   [[nodiscard]] std::uint64_t mapped_end() const { return mapped_end_; }
-  [[nodiscard]] std::uint64_t deliver_next() const { return deliver_next_; }
   [[nodiscard]] std::uint64_t checks() const { return checks_; }
 
  private:

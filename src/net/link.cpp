@@ -46,7 +46,6 @@ void Link::maybe_start_service() {
   const sim::TimePoint start = gate_fn_ ? std::max(now, gate_fn_(now)) : now;
   const double rate = rate_fn_ ? rate_fn_() : config_.rate_bps;
   const double tx_seconds = static_cast<double>(p->wire_bytes()) * 8.0 / std::max(rate, 1.0);
-  stats_.busy_time += sim::Duration::from_seconds(tx_seconds);
   const sim::TimePoint done = start + sim::Duration::from_seconds(tx_seconds);
 
   // 16-byte capture (this + pooled handle): fits the inline event action.

@@ -40,9 +40,6 @@ class Link {
     std::uint64_t packets_dropped_queue{0};
     std::uint64_t packets_dropped_wire{0};
     std::uint64_t bytes_delivered{0};
-    /// Accumulated transmission (serialization) time — the radio's active
-    /// airtime, used by the energy model.
-    sim::Duration busy_time{};
   };
 
   using DeliverFn = std::function<void(PacketPtr)>;

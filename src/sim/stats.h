@@ -53,13 +53,6 @@ struct SimStats {
   /// with audit_checks == 0 under an audit build means the hooks were not
   /// exercised — itself a red flag in audit CI.
   std::uint64_t audit_checks{0};
-
-  /// Fraction of packet acquisitions served without heap allocation.
-  [[nodiscard]] double pool_reuse_rate() const {
-    const std::uint64_t total = pool_allocated_packets + pool_reused_packets;
-    return total == 0 ? 0.0
-                      : static_cast<double>(pool_reused_packets) / static_cast<double>(total);
-  }
 };
 
 }  // namespace mpr::sim

@@ -36,7 +36,6 @@ class Duration {
   [[nodiscard]] constexpr std::int64_t ns() const { return ns_; }
   [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) * 1e-9; }
   [[nodiscard]] constexpr double to_millis() const { return static_cast<double>(ns_) * 1e-6; }
-  [[nodiscard]] constexpr double to_micros() const { return static_cast<double>(ns_) * 1e-3; }
 
   constexpr Duration& operator+=(Duration o) { ns_ += o.ns_; return *this; }
   constexpr Duration& operator-=(Duration o) { ns_ -= o.ns_; return *this; }

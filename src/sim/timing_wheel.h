@@ -98,13 +98,6 @@ class TimingWheel {
   [[nodiscard]] static constexpr std::int64_t to_tick(std::int64_t ns) {
     return ns >> kResolutionBits;
   }
-  /// Level-j slots are 64^j ticks wide.
-  [[nodiscard]] static constexpr std::int64_t slot_width(int level) {
-    return std::int64_t{1} << (kSlotBits * level);
-  }
-  [[nodiscard]] static constexpr std::int64_t level_span(int level) {
-    return std::int64_t{1} << (kSlotBits * (level + 1));
-  }
 
   /// Earliest occupied slot across all levels; returns its start tick and
   /// stores the level in `level` (-1 if the wheel is empty).

@@ -85,7 +85,6 @@ class TcpEndpoint : public FlowCc {
   [[nodiscard]] std::uint64_t snd_una() const { return snd_una_; }
   [[nodiscard]] std::uint64_t snd_nxt() const { return snd_nxt_; }
   [[nodiscard]] std::uint64_t rcv_nxt() const { return rcv_nxt_; }
-  [[nodiscard]] bool in_recovery() const { return in_recovery_; }
   [[nodiscard]] sim::Duration rto() const { return rto_; }
   /// RTOs fired since the last forward ACK — a health signal used by the
   /// MPTCP path manager to detect a dead path (backup-mode failover).
