@@ -11,7 +11,7 @@
 // response (halve on a loss event, collapse to 1 MSS on an RTO) is
 // CongestionControl's own, so Vegas shares it too. What a controller keeps
 // per flow lives in the flow's CcState, as Linux keeps it in the socket
-// (inet_csk_ca), not in a table beside it.
+// (inet_csk_ca).
 #pragma once
 
 #include <cstdint>
@@ -70,8 +70,9 @@ class CongestionControl {
   /// Loss event detected by fast retransmit (at most once per window):
   /// halve the window (w <- w/2, floored at 2 MSS).
   void on_loss_event(FlowCc& flow);
-  /// Retransmission timeout: collapse the window to 1 MSS and forget the
-  /// base RTT (the path may have changed across an outage).
+  /// Retransmission timeout: ssthresh to half the flight (floored at
+  /// 2 MSS), the window to 1 MSS, and the base RTT forgotten (the path may
+  /// have changed across an outage).
   void on_rto(FlowCc& flow);
 
  protected:

@@ -269,8 +269,8 @@ FaultOutcome run_faulted(const FaultCase& fc) {
 TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   FaultCase fc;
   // Big enough that the download is still running when the cellular path
-  // finally comes up (the join gives up ~123 s in, and its 1 s retry is
-  // answered just after the restore).
+  // finally comes up (the join gives up about 123 s in, during the outage,
+  // and the connection-level retry comes up after the 125 s restore).
   fc.bytes = 160ull << 20;
   fc.seed = 5;
   // Outage from before the join until t=125 s: longer than the join's
