@@ -703,7 +703,6 @@ void MptcpConnection::set_fallback(FallbackKind next) {
 
 void MptcpConnection::enter_plain_fallback(MptcpSubflow& sf) {
   set_fallback(FallbackKind::kPlainTcp);
-  fallback_counters_.plain_tcp = true;
   // The connection can never add subflows again; cancel all join machinery
   // and reset every other subflow (they are not part of a plain TCP
   // connection).
@@ -733,7 +732,6 @@ void MptcpConnection::on_join_refused(MptcpSubflow& sf) {
 }
 
 void MptcpConnection::on_subflow_reset(MptcpSubflow& sf, bool during_handshake) {
-  ++fallback_counters_.subflow_resets_received;
   if (failed_ || closing()) return;
   if (during_handshake) {
     if (sf.kind() == MptcpSubflow::HandshakeKind::kCapable && !established_) {
@@ -805,7 +803,6 @@ void MptcpConnection::on_checksum_failure(MptcpSubflow& sf) {
   // peer to retransmit from there without checksums. No subflow can join a
   // fallen-back connection.
   set_fallback(FallbackKind::kInfiniteMapping);
-  fallback_counters_.infinite_mapping = true;
   joins_started_ = true;
   pending_mp_fail_ = fail_dsn;
   ++fallback_counters_.mp_fail_sent;
@@ -821,7 +818,6 @@ void MptcpConnection::on_remote_mp_fail(MptcpSubflow& sf, std::uint64_t dsn,
     // The peer fell back to an infinite mapping on its last subflow; mirror
     // it so our own mappings turn linear too.
     set_fallback(FallbackKind::kInfiniteMapping);
-    fallback_counters_.infinite_mapping = true;
     joins_started_ = true;
   }
   // Everything from the failed DSN on needs to reach the peer again: the
@@ -847,7 +843,6 @@ void MptcpConnection::on_unmapped_payload(MptcpSubflow& sf, std::uint64_t offset
     on_subflow_data(sf, offset, len, false);
     return;
   }
-  ++fallback_counters_.unmapped_segments;
   if (failed_ || closing()) return;
   if (other_live_subflow(sf) != nullptr) {
     close_subflow_with_mp_fail(sf, rx_.rcv_nxt());

@@ -87,14 +87,10 @@ class MptcpConnection {
 
   /// Robustness telemetry, aggregated into SimStats by the harness.
   struct FallbackCounters {
-    bool plain_tcp{false};
-    bool infinite_mapping{false};
     std::uint64_t checksum_failures{0};
     std::uint64_t mp_fail_sent{0};
     std::uint64_t mp_fail_received{0};
     std::uint64_t join_refusals{0};
-    std::uint64_t unmapped_segments{0};
-    std::uint64_t subflow_resets_received{0};
   };
 
   /// Client-side connection. `local_addrs[0]` is the default path (WiFi in

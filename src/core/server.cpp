@@ -54,16 +54,11 @@ void MptcpServer::on_syn(const net::Packet& syn) {
   }
   if (syn.tcp.mp_capable() == nullptr) {
     // A middlebox stripped MP_CAPABLE (or the client is plain TCP): accept
-    // as single-path TCP, or refuse explicitly — never a silent drop.
+    // as single-path TCP, or refuse explicitly — never a silent drop. The
+    // endpoint registers its flow, so this SYN's retransmissions reach it.
     if (!config_.allow_tcp_fallback) {
       refuse_plain_syn(syn);
       return;
-    }
-    for (const auto& existing : tcp_fallback_) {
-      if (existing->remote() == net::SocketAddr{syn.src, syn.tcp.src_port} &&
-          existing->local() == net::SocketAddr{syn.dst, syn.tcp.dst_port}) {
-        return;  // duplicate SYN; the endpoint handles retransmissions
-      }
     }
     auto ep = std::make_unique<tcp::TcpEndpoint>(
         host_, net::SocketAddr{syn.dst, syn.tcp.dst_port},

@@ -74,8 +74,7 @@ Session::Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg)
     : cfg_{run_cfg},
       tb_{testbed_cfg},
       wifi_meter_{tb_.wifi_access().profile().power},
-      cell_meter_{tb_.cell_access().profile().power},
-      injector_{tb_.sim()} {
+      cell_meter_{tb_.cell_access().profile().power} {
   if (tb_.trace() != nullptr) {
     // ~1 send + 1 deliver per data packet plus ACK traffic and handshakes.
     tb_.trace()->reserve_records(cfg_.file_bytes / 1400 * 3 + 4096);
@@ -136,34 +135,20 @@ Session::Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg)
         tb_.client(), cfg_.subflow, use_wifi ? kClientWifiAddr : kClientCellAddr, server_sock);
   }
 
-  // Scripted faults: netem-level effects on both access networks, plus the
-  // client stack's reaction to interface down/up.
-  injector_.bind("wifi", &tb_.wifi_access());
-  injector_.bind("cell", &tb_.cell_access());
-  if (multipath) {
-    const auto iface_addr = [](const std::string& link) {
-      return link == "wifi" ? kClientWifiAddr : kClientCellAddr;
-    };
-    injector_.on_iface_down = [this, iface_addr](const std::string& link) {
-      mp_client_->connection().remove_local_addr(iface_addr(link));
-    };
-    injector_.on_iface_up = [this, iface_addr](const std::string& link) {
-      mp_client_->connection().add_local_addr(iface_addr(link));
-    };
-    // `sched` scenario events: netem hands us a name + weights; resolve it
-    // here (the harness owns the core dependency) and switch both ends so
-    // sender-side dispatch changes regardless of transfer direction.
-    injector_.on_scheduler_change = [this](const std::string& name,
-                                           const std::vector<double>& weights) {
-      const auto kind = core::scheduler_from_string(name);
-      if (!kind) return;  // parse() validated; unknown names are a no-op here
-      mp_client_->connection().set_scheduler(*kind, weights);
-      for (core::MptcpConnection* c : mp_server_->connections()) {
-        c->set_scheduler(*kind, weights);
-      }
-    };
+  // Scripted faults, each captured by its index into cfg_ (a FaultEvent is
+  // too large for the event queue's inline action storage). A middlebox
+  // present "from the start" must intercept the very first SYN, which the
+  // endpoints send synchronously, before the event queue runs: it is
+  // applied now.
+  const sim::TimePoint origin = tb_.sim().now();
+  const std::vector<netem::FaultEvent>& faults = cfg_.faults.events();
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (faults[i].kind == netem::FaultEvent::Kind::kMiddlebox && faults[i].at <= sim::Duration{}) {
+      apply_fault(faults[i]);
+    } else {
+      tb_.sim().at(origin + faults[i].at, [this, i] { apply_fault(cfg_.faults.events()[i]); });
+    }
   }
-  injector_.install(cfg_.faults);
 
   // Ping warm-up (§3.2): two pings per active interface, measurement starts
   // when every interface has been warmed.
@@ -191,6 +176,28 @@ void Session::start_measurement() {
     mp_client_->get(cfg_.file_bytes, on_done);
   } else {
     sp_client_->get(cfg_.file_bytes, on_done);
+  }
+}
+
+void Session::apply_fault(const netem::FaultEvent& ev) {
+  if (ev.kind == netem::FaultEvent::Kind::kScheduler) {
+    if (mp_client_ == nullptr) return;
+    const auto kind = core::scheduler_from_string(ev.arg);
+    if (!kind) return;  // parse() validated; unknown names are a no-op here
+    // Both ends, so sender-side dispatch changes whatever the direction.
+    mp_client_->connection().set_scheduler(*kind, ev.weights);
+    for (core::MptcpConnection* c : mp_server_->connections()) c->set_scheduler(*kind, ev.weights);
+    return;
+  }
+  const bool wifi = ev.link == "wifi";
+  if (!wifi && ev.link != "cell") return;
+  netem::apply(wifi ? tb_.wifi_access() : tb_.cell_access(), ev);
+  if (mp_client_ == nullptr) return;
+  const net::IpAddr addr = wifi ? kClientWifiAddr : kClientCellAddr;
+  if (ev.kind == netem::FaultEvent::Kind::kIfaceDown) {
+    mp_client_->connection().remove_local_addr(addr);
+  } else if (ev.kind == netem::FaultEvent::Kind::kIfaceUp) {
+    mp_client_->connection().add_local_addr(addr);
   }
 }
 
@@ -239,7 +246,6 @@ void Session::collect(RunResult& result) {
     result.sim_stats.pool_allocated_packets = ps.allocs;
     result.sim_stats.pool_reused_packets = ps.reuses;
     result.sim_stats.pool_high_water = ps.high_water;
-    result.sim_stats.pool_bytes = ps.bytes;
   }
 #if MPR_AUDIT
   if (const check::Auditor* auditor = sim.find_service<check::Auditor>()) {
@@ -274,8 +280,8 @@ void Session::collect(RunResult& result) {
     // RFC 6824 fallback telemetry from both ends.
     const auto add_fallback = [&result](const core::MptcpConnection& c) {
       const core::MptcpConnection::FallbackCounters& fc = c.fallback_counters();
-      result.sim_stats.fallback_plain_tcp += fc.plain_tcp ? 1 : 0;
-      result.sim_stats.fallback_infinite_mapping += fc.infinite_mapping ? 1 : 0;
+      result.sim_stats.fallback_plain_tcp += c.plain_fallback() ? 1 : 0;
+      result.sim_stats.fallback_infinite_mapping += c.infinite_mapping() ? 1 : 0;
       result.sim_stats.checksum_failures += fc.checksum_failures;
       result.sim_stats.mp_fail_events += fc.mp_fail_sent;
       result.sim_stats.join_refusals += fc.join_refusals;

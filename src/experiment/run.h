@@ -118,15 +118,14 @@ struct RunResult {
 
 /// One measurement on a fresh testbed, split so a caller can reach the run
 /// it measures. The constructor builds the testbed and wires it: the
-/// single-path or MPTCP apps, the scripted faults with the client stack's
-/// reaction to interface and scheduler events, the device energy meters
-/// and the ping warm-up (§3.2), which starts the download once every active
-/// interface has answered, or at once without `ping_warmup`. Between the
-/// constructor and run() a caller may attach to testbed(),
-/// client_connection() and mptcp_server(); an observer that only reads
-/// changes no simulated output. run() runs until the download completes or
-/// the timeout or a cap cuts it, then collects the result. Everything stays
-/// readable afterwards.
+/// single-path or MPTCP apps, the scripted faults (apply_fault), the device
+/// energy meters and the ping warm-up (§3.2), which starts the download
+/// once every active interface has answered, or at once without
+/// `ping_warmup`. Between the constructor and run() a caller may attach to
+/// testbed(), client_connection() and mptcp_server(); an observer that only
+/// reads changes no simulated output. run() runs until the download
+/// completes or the timeout or a cap cuts it, then collects the result.
+/// Everything stays readable afterwards.
 class Session {
  public:
   Session(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg);
@@ -147,6 +146,12 @@ class Session {
 
  private:
   void start_measurement();
+  /// Applies one scripted fault: its netem half on the access network the
+  /// event names ("wifi" or "cell"; other links are ignored), then, in an
+  /// MPTCP run, the stack's reaction: REMOVE_ADDR or re-join at the client
+  /// for ifdown / ifup, and a `sched` switch at the client and every server
+  /// connection.
+  void apply_fault(const netem::FaultEvent& ev);
   void collect(RunResult& result);
 
   const RunConfig cfg_;
@@ -157,7 +162,6 @@ class Session {
   std::unique_ptr<app::MptcpHttpClient> mp_client_;
   std::unique_ptr<app::TcpHttpServer> sp_server_;
   std::unique_ptr<app::TcpHttpClient> sp_client_;
-  netem::FaultInjector injector_;
   std::vector<std::unique_ptr<app::PingAgent>> pingers_;
   int warmups_pending_{0};
   app::FetchResult fetch_;

@@ -96,8 +96,6 @@ class PacketPool {
     std::uint64_t high_water{0};
     /// Packets currently held by live PacketPtr handles.
     std::uint64_t outstanding{0};
-    /// Resident bytes of pooled Packet storage, adopted packets included.
-    std::uint64_t bytes{0};
   };
 
   /// Adopts the storage the thread's previous pool handed back, if any.
@@ -140,8 +138,7 @@ class PacketPool {
   }
 
   [[nodiscard]] Stats stats() const {
-    return Stats{stats_allocs_, stats_reuses_, drawn_, drawn_ - free_.size(),
-                 storage_.size() * sizeof(Packet)};
+    return Stats{stats_allocs_, stats_reuses_, drawn_, drawn_ - free_.size()};
   }
 
   /// Process-wide totals over every pool already destroyed plus none of the

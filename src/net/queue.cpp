@@ -4,10 +4,7 @@
 
 namespace mpr::net {
 
-// ---------------------------------------------------------------------------
-// DropTailQueue.
-
-bool DropTailQueue::enqueue(PacketPtr p, sim::TimePoint now) {
+bool QueueDiscipline::enqueue(PacketPtr p, sim::TimePoint now) {
   const std::uint64_t wire = p->wire_bytes();
   if (bytes_ + wire > capacity_ && !queue_.empty()) {
     report_drop(*p);  // handle destructs at return: packet recycled
@@ -19,39 +16,28 @@ bool DropTailQueue::enqueue(PacketPtr p, sim::TimePoint now) {
   return true;
 }
 
-PacketPtr DropTailQueue::dequeue(sim::TimePoint /*now*/) {
+PacketPtr QueueDiscipline::pop() {
   if (queue_.empty()) return PacketPtr{};
   PacketPtr p = queue_.pop_front();
   bytes_ -= p->wire_bytes();
   return p;
 }
 
+PacketPtr DropTailQueue::dequeue(sim::TimePoint /*now*/) { return pop(); }
+
 // ---------------------------------------------------------------------------
 // CodelQueue.
 
-bool CodelQueue::enqueue(PacketPtr p, sim::TimePoint now) {
-  const std::uint64_t wire = p->wire_bytes();
-  if (bytes_ + wire > capacity_ && !queue_.empty()) {
-    report_drop(*p);
-    return false;
-  }
-  p->enqueue_time = now;
-  bytes_ += wire;
-  queue_.push_back(std::move(p));
-  return true;
-}
-
 CodelQueue::Front CodelQueue::do_dequeue(sim::TimePoint now) {
   Front f;
-  if (queue_.empty()) {
+  PacketPtr p = pop();
+  if (!p) {
     has_first_above_ = false;
     return f;
   }
-  PacketPtr p = queue_.pop_front();
-  bytes_ -= p->wire_bytes();
 
   const sim::Duration sojourn = now - p->enqueue_time;
-  if (sojourn < kTarget || bytes_ <= kMtuBytes) {
+  if (sojourn < kTarget || bytes() <= kMtuBytes) {
     // Out of the "standing queue" regime.
     has_first_above_ = false;
   } else if (!has_first_above_) {

@@ -23,44 +23,35 @@
 
 namespace mpr::net {
 
+/// A FIFO with a byte cap that always admits at least one packet; a
+/// discipline decides only what dequeue hands out.
 class QueueDiscipline {
  public:
+  explicit QueueDiscipline(std::uint64_t capacity_bytes) : capacity_{capacity_bytes} {}
   virtual ~QueueDiscipline() = default;
 
   /// Offers a packet. Returns false if dropped at enqueue (queue full) —
   /// the rejected packet is recycled; the drop hook fires for every dropped
   /// packet, at enqueue or inside dequeue (AQM).
-  virtual bool enqueue(PacketPtr p, sim::TimePoint now) = 0;
+  bool enqueue(PacketPtr p, sim::TimePoint now);
 
   /// Next packet to transmit, or an empty handle when the queue is empty.
   /// AQM disciplines may drop packets internally here; those are reported
   /// via the drop hook.
   virtual PacketPtr dequeue(sim::TimePoint now) = 0;
 
-  [[nodiscard]] virtual std::uint64_t bytes() const = 0;
-  [[nodiscard]] virtual std::size_t packets() const = 0;
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+  [[nodiscard]] std::size_t packets() const { return queue_.size(); }
 
   /// Invoked for every packet the discipline drops after admission.
   void set_drop_hook(std::function<void(const Packet&)> hook) { drop_hook_ = std::move(hook); }
 
  protected:
+  /// Removes the head packet, or returns an empty handle when empty.
+  PacketPtr pop();
   void report_drop(const Packet& p) {
     if (drop_hook_) drop_hook_(p);
   }
-
- private:
-  std::function<void(const Packet&)> drop_hook_;
-};
-
-/// FIFO with a byte cap; always admits at least one packet.
-class DropTailQueue final : public QueueDiscipline {
- public:
-  explicit DropTailQueue(std::uint64_t capacity_bytes) : capacity_{capacity_bytes} {}
-
-  bool enqueue(PacketPtr p, sim::TimePoint now) override;
-  PacketPtr dequeue(sim::TimePoint now) override;
-  [[nodiscard]] std::uint64_t bytes() const override { return bytes_; }
-  [[nodiscard]] std::size_t packets() const override { return queue_.size(); }
 
  private:
   std::uint64_t capacity_;
@@ -68,6 +59,15 @@ class DropTailQueue final : public QueueDiscipline {
   // FlatRing, not std::deque: a deque frees its map blocks inside pop_front,
   // putting operator delete in dequeue's emitted code (see sim/flat_vec.h).
   sim::FlatRing<PacketPtr> queue_;
+  std::function<void(const Packet&)> drop_hook_;
+};
+
+/// Plain FIFO: hands out the head packet.
+class DropTailQueue final : public QueueDiscipline {
+ public:
+  using QueueDiscipline::QueueDiscipline;
+
+  PacketPtr dequeue(sim::TimePoint now) override;
 };
 
 /// CoDel (RFC 8289): drops at dequeue when the standing (sojourn) delay has
@@ -81,12 +81,9 @@ class CodelQueue final : public QueueDiscipline {
   /// At most one MTU queued never counts as a standing queue.
   static constexpr std::uint32_t kMtuBytes = 1540;
 
-  explicit CodelQueue(std::uint64_t capacity_bytes) : capacity_{capacity_bytes} {}
+  using QueueDiscipline::QueueDiscipline;
 
-  bool enqueue(PacketPtr p, sim::TimePoint now) override;
   PacketPtr dequeue(sim::TimePoint now) override;
-  [[nodiscard]] std::uint64_t bytes() const override { return bytes_; }
-  [[nodiscard]] std::size_t packets() const override { return queue_.size(); }
   [[nodiscard]] std::uint64_t codel_drops() const { return codel_drops_; }
 
  private:
@@ -98,10 +95,6 @@ class CodelQueue final : public QueueDiscipline {
   [[nodiscard]] sim::TimePoint control_law(sim::TimePoint t) const {
     return t + kInterval * (1.0 / std::sqrt(static_cast<double>(count_)));
   }
-
-  std::uint64_t capacity_;
-  std::uint64_t bytes_{0};
-  sim::FlatRing<PacketPtr> queue_;  // see DropTailQueue::queue_
 
   sim::TimePoint first_above_time_{};
   bool has_first_above_{false};

@@ -86,7 +86,8 @@ struct AccessProfile {
 [[nodiscard]] AccessProfile sprint_evdo();
 
 /// A built access network: the two links plus their stochastic models.
-/// Owns everything; register it with the network via build_access().
+/// Owns everything; the constructor registers both links with the network
+/// as `client_addr`'s access path.
 class AccessNetwork {
  public:
   AccessNetwork(sim::Simulation& sim, net::Network& network, net::IpAddr client_addr,
@@ -110,7 +111,7 @@ class AccessNetwork {
   /// generator draws from its own stream, so no other draw moves.
   void stop_background();
 
-  // --- Fault-injection hooks (netem::FaultInjector) ---
+  // --- Fault-injection hooks (netem::apply) ---
 
   /// Scales both directions' service rate by `factor` (1.0 = nominal),
   /// composing with the profile's RateProcess if one is running. Clamped

@@ -47,7 +47,6 @@ class EnergyMeter {
   void note_activity(sim::TimePoint t, sim::Duration airtime) {
     if (!started_) {
       started_ = true;
-      start_ = t;
       active_until_ = t;
     }
     if (t > active_until_) {
@@ -96,7 +95,6 @@ class EnergyMeter {
  private:
   RadioPowerProfile profile_;
   bool started_{false};
-  sim::TimePoint start_{};
   sim::TimePoint active_until_{};
   sim::Duration active_acc_{};
   sim::Duration tail_acc_{};

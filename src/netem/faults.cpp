@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,7 +13,7 @@ namespace mpr::netem {
 namespace {
 
 // Schedule-level link aliases: scenario files may say "cellular" for the
-// name the harness binds as "cell". Takes the string by reference (GCC 12
+// name the harness knows as "cell". Takes the string by reference (GCC 12
 // mis-diagnoses the by-value + move form as maybe-uninitialized when
 // inlined).
 void normalize_link(std::string& link) {
@@ -161,7 +162,7 @@ FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
     auto need = [&](std::size_t n) { return args.size() == n; };
     // Millisecond arguments become sim::Duration when the event applies.
     auto ms_ok = [](double ms) { return ms >= 0 && ms <= sim::kMaxInputSeconds * 1e3; };
-    // Middlebox counts and offsets are integers; the injector would truncate
+    // Middlebox counts and offsets are integers; apply() would truncate
     // a fraction.
     auto whole = [](double v) { return std::floor(v) == v; };
     if (action == "outage" || action == "blackout") {
@@ -254,76 +255,33 @@ FaultSchedule FaultSchedule::parse_file(const std::string& path, std::string* er
   return parse(in, error);
 }
 
-void FaultInjector::bind(std::string name, AccessNetwork* access) {
-  normalize_link(name);
-  links_[std::move(name)] = access;
-}
-
-void FaultInjector::install(const FaultSchedule& schedule) {
-  const sim::TimePoint origin = sim_.now();
-  // Events are kept in a member vector and captured by index: the closure
-  // stays pointer-sized, and the vector never shrinks, so indices stay valid
-  // even if install() is called more than once.
-  installed_.reserve(installed_.size() + schedule.size());
-  for (const FaultEvent& ev : schedule.events()) {
-    const std::size_t i = installed_.size();
-    installed_.push_back(ev);
-    if (ev.kind == FaultEvent::Kind::kMiddlebox && ev.at <= sim::Duration{}) {
-      // A middlebox present "from the start" must intercept the very first
-      // SYN. Endpoints send that SYN synchronously from connect(), before the
-      // event queue runs, so a t=0 queue event would attach the box too late.
-      apply(installed_[i]);
-      continue;
-    }
-    sim_.at(origin + ev.at, [this, i] { apply(installed_[i]); });
-  }
-}
-
-void FaultInjector::apply(const FaultEvent& ev) {
-  // Connection-level events never resolve to an access network.
-  if (ev.kind == FaultEvent::Kind::kScheduler) {
-    if (on_scheduler_change) on_scheduler_change(ev.arg, ev.weights);
-    ++applied_;
-    return;
-  }
-  const auto it = links_.find(ev.link);
-  if (it == links_.end() || it->second == nullptr) {
-    ++unmatched_;
-    return;
-  }
-  AccessNetwork& a = *it->second;
+void apply(AccessNetwork& access, const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultEvent::Kind::kOutage:
-      a.set_down(true);
+    case FaultEvent::Kind::kIfaceDown:
+      access.set_down(true);
       break;
     case FaultEvent::Kind::kRestore:
-      a.set_down(false);
+    case FaultEvent::Kind::kIfaceUp:
+      access.set_down(false);
       break;
     case FaultEvent::Kind::kRateScale:
-      a.set_rate_scale(ev.a);
+      access.set_rate_scale(ev.a);
       break;
     case FaultEvent::Kind::kDelayAdd:
-      a.set_fault_extra_delay(sim::Duration::from_millis(ev.a));
+      access.set_fault_extra_delay(sim::Duration::from_millis(ev.a));
       break;
     case FaultEvent::Kind::kBurstLoss:
-      a.set_loss_override({.p_good_to_bad = ev.a,
-                           .p_bad_to_good = ev.b,
-                           .loss_good = ev.c,
-                           .loss_bad = ev.d});
+      access.set_loss_override({.p_good_to_bad = ev.a,
+                                .p_bad_to_good = ev.b,
+                                .loss_good = ev.c,
+                                .loss_bad = ev.d});
       break;
     case FaultEvent::Kind::kLossClear:
-      a.clear_loss_override();
-      break;
-    case FaultEvent::Kind::kIfaceDown:
-      a.set_down(true);
-      if (on_iface_down) on_iface_down(ev.link);
-      break;
-    case FaultEvent::Kind::kIfaceUp:
-      a.set_down(false);
-      if (on_iface_up) on_iface_up(ev.link);
+      access.clear_loss_override();
       break;
     case FaultEvent::Kind::kMiddlebox: {
-      Middlebox& m = a.middlebox();
+      Middlebox& m = access.middlebox();
       if (ev.arg == "strip_syn") {
         m.set_strip(Middlebox::Strip::kSyn);
       } else if (ev.arg == "strip_join") {
@@ -344,9 +302,8 @@ void FaultInjector::apply(const FaultEvent& ev) {
       break;
     }
     case FaultEvent::Kind::kScheduler:
-      break;  // handled above
+      break;  // connection-level
   }
-  ++applied_;
 }
 
 }  // namespace mpr::netem

@@ -10,8 +10,7 @@
 //   * delay                 — add fixed extra one-way delay
 //   * burstloss / lossclear — Gilbert-Elliott episode overriding the
 //                             profile's wire-loss model
-//   * ifdown / ifup         — interface removal/return: blackout plus a
-//                             notification the harness turns into
+//   * ifdown / ifup         — interface removal/return: blackout plus
 //                             REMOVE_ADDR / re-join at the MPTCP client
 //   * mbox <sub>            — middlebox interference on the link
 //                             (netem::Middlebox): strip_syn | strip_join |
@@ -21,8 +20,7 @@
 //                             (minrtt | rr | roundrobin | weighted |
 //                             redundant; weighted takes per-subflow shares).
 //                             Connection-level, so the link column is the
-//                             pseudo-link "conn"; the harness wires
-//                             on_scheduler_change to the MPTCP stack.
+//                             pseudo-link "conn".
 //
 // Schedules are plain data (value type) and are replayed per run on that
 // run's simulation clock, so the PR 1 determinism guarantee holds: the same
@@ -46,17 +44,14 @@
 //   15.0      conn  sched redundant
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <istream>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "netem/access.h"
-#include "sim/simulation.h"
+#include "sim/time.h"
 
 namespace mpr::netem {
 
@@ -68,14 +63,14 @@ struct FaultEvent {
     kDelayAdd,   // set extra one-way delay to `a` ms on both directions
     kBurstLoss,  // Gilbert-Elliott downlink episode: a,b,c,d = params
     kLossClear,  // end a kBurstLoss episode
-    kIfaceDown,  // interface removal: outage + on_iface_down notification
-    kIfaceUp,    // interface return: restore + on_iface_up notification
+    kIfaceDown,  // interface removal: outage + REMOVE_ADDR at the client
+    kIfaceUp,    // interface return: restore + re-join at the client
     kMiddlebox,  // configure the link's netem::Middlebox (`arg` = subcommand)
     kScheduler,  // switch the MPTCP dispatch strategy (`arg` = name,
                  // `weights` = per-subflow shares; link is "conn")
   };
 
-  sim::Duration at;  // relative to FaultInjector::install()
+  sim::Duration at;  // relative to the start of the run
   std::string link;  // schedule-level link name ("wifi", "cell", ...)
   Kind kind{Kind::kOutage};
   double a{0}, b{0}, c{0}, d{0};
@@ -131,49 +126,9 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;
 };
 
-/// Binds a schedule to the access networks of one testbed and replays it on
-/// that testbed's simulation clock. Non-owning: the simulation and every
-/// bound AccessNetwork must outlive the injector's scheduled events.
-class FaultInjector {
- public:
-  explicit FaultInjector(sim::Simulation& sim) : sim_{sim} {}
-
-  FaultInjector(const FaultInjector&) = delete;
-  FaultInjector& operator=(const FaultInjector&) = delete;
-
-  /// Registers `access` under the schedule-level link name.
-  void bind(std::string name, AccessNetwork* access);
-
-  /// The stack's reaction to interface events (REMOVE_ADDR / re-join at the
-  /// MPTCP client) lives above netem; the harness wires these. The netem
-  /// part (blackout/restore) is applied by the injector either way.
-  std::function<void(const std::string& link)> on_iface_down;
-  std::function<void(const std::string& link)> on_iface_up;
-  /// Connection-level scheduler switch (`sched` events). String-based so
-  /// netem stays independent of core: the harness resolves `name` with
-  /// core::scheduler_from_string and applies it to its MPTCP connections.
-  std::function<void(const std::string& name, const std::vector<double>& weights)>
-      on_scheduler_change;
-
-  /// Schedules every event of `schedule` at `now + event.at`.
-  void install(const FaultSchedule& schedule);
-
-  [[nodiscard]] std::uint64_t applied_events() const { return applied_; }
-  /// Events that named a link no bind() call registered (scenario typo).
-  [[nodiscard]] std::uint64_t unmatched_events() const { return unmatched_; }
-
- private:
-  void apply(const FaultEvent& ev);
-
-  sim::Simulation& sim_;
-  // Ordered: keeps any future link-set iteration (diagnostics, teardown)
-  // deterministic by name (mpr-lint unordered-iter).
-  std::map<std::string, AccessNetwork*, std::less<>> links_;
-  /// Installed events, referenced by index from the scheduled actions — a
-  /// FaultEvent is too large for the event queue's inline action storage.
-  std::vector<FaultEvent> installed_;
-  std::uint64_t applied_{0};
-  std::uint64_t unmatched_{0};
-};
+/// Applies the netem half of `ev` to `access`: everything but the stack's
+/// reaction to ifdown / ifup, which experiment::Session adds. A `sched`
+/// event has no netem half.
+void apply(AccessNetwork& access, const FaultEvent& ev);
 
 }  // namespace mpr::netem

@@ -35,7 +35,6 @@ void Middlebox::reset_behaviour() {
 }
 
 void Middlebox::process(net::PacketPtr p, Dir& d) {
-  ++tally(*p).packets_seen;
   strip_options(*p);
   if (nat_offset_ != 0) rewrite_nat(*p, d);
   maybe_corrupt(*p, d);

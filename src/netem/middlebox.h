@@ -42,7 +42,6 @@ class Middlebox {
   };
 
   struct Stats {
-    std::uint64_t packets_seen{0};
     std::uint64_t options_stripped{0};
     std::uint64_t seq_rewrites{0};
     std::uint64_t segments_split{0};

@@ -4,7 +4,7 @@
 // perf regression tests) can assert on the simulator's allocation behaviour,
 // not just its outputs: how many events ran, how many Packet objects were
 // heap-allocated vs recycled from the run's PacketPool, and the pool's
-// resident footprint. The packet hot path is considered allocation-free when
+// high-water mark. The packet hot path is considered allocation-free when
 // pool_allocated_packets stops growing once a run reaches steady state. A
 // pool adopts the packet storage of its thread's previous pool, so a run
 // after the first on a thread typically allocates none.
@@ -26,8 +26,6 @@ struct SimStats {
   /// Maximum packets simultaneously in flight/queued in this run (pool
   /// high-water mark; a fresh thread's first run allocates exactly this many).
   std::uint64_t pool_high_water{0};
-  /// Resident bytes held by the pool's packet storage.
-  std::uint64_t pool_bytes{0};
 
   // Robustness telemetry (middlebox interference + RFC 6824 fallback).
   /// Connection endpoints that fell back to plain single-path TCP (client

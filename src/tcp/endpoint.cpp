@@ -378,7 +378,6 @@ void TcpEndpoint::process_ack_side(const net::Packet& p) {
       unacked_.pop_front();
     }
     snd_una_ = ack;
-    metrics_.bytes_acked += acked;
     dupacks_ = 0;
     consecutive_timeouts_ = 0;
     if (sample) rtt_sample(*sample);
@@ -517,7 +516,6 @@ void TcpEndpoint::process_data_side(const net::Packet& p) {
       deliver_from(seq, p.payload_bytes, p.tcp.dss_opt());
       deliver_in_order();
     } else if (seq > rcv_nxt_) {
-      ++metrics_.out_of_order_packets;
       out_of_order = true;
       if (ooo_.insert(seq, RxSeg{p.payload_bytes, p.tcp.dss_opt()})) {
         ooo_bytes_ += p.payload_bytes;
@@ -585,7 +583,6 @@ void TcpEndpoint::deliver_from(std::uint64_t seq, std::uint32_t len,
   }
   const std::uint32_t fresh = len - skip;
   metrics_.bytes_received += fresh;
-  metrics_.last_data_rx_time = sim().now();
   handle_data(rcv_nxt_ - 1, fresh, dss);
   rcv_nxt_ += fresh;
 }

@@ -1,6 +1,5 @@
 #include "tcp/listener.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -25,26 +24,17 @@ TcpAcceptor::TcpAcceptor(net::Host& host, std::uint16_t port, TcpConfig config,
 }
 
 void TcpAcceptor::on_syn(const net::Packet& syn) {
-  const net::SocketAddr local{syn.dst, syn.tcp.dst_port};
-  const net::SocketAddr remote{syn.src, syn.tcp.src_port};
-  const net::FlowKey key{local, remote};
-  const auto at = std::lower_bound(connections_.begin(), connections_.end(), key,
-                                   [](const Conn& c, const net::FlowKey& k) { return c.key < k; });
-  if (at != connections_.end() && at->key == key) {
-    return;  // duplicate SYN; endpoint handles it
-  }
-
-  auto ep = std::make_unique<TcpEndpoint>(host_, local, remote, config_);
-  TcpEndpoint& ref = *ep;
-  connections_.insert(at, Conn{key, std::move(ep)});
-  ref.accept_syn(syn);
-  if (on_accept_) on_accept_(ref);
+  TcpEndpoint& ep = *connections_.emplace_back(
+      std::make_unique<TcpEndpoint>(host_, net::SocketAddr{syn.dst, syn.tcp.dst_port},
+                                    net::SocketAddr{syn.src, syn.tcp.src_port}, config_));
+  ep.accept_syn(syn);
+  if (on_accept_) on_accept_(ep);
 }
 
 std::vector<TcpEndpoint*> TcpAcceptor::connections() {
   std::vector<TcpEndpoint*> out;
   out.reserve(connections_.size());
-  for (auto& c : connections_) out.push_back(c.ep.get());
+  for (const auto& ep : connections_) out.push_back(ep.get());
   return out;
 }
 

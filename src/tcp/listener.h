@@ -35,34 +35,26 @@ class TcpListener {
 };
 
 /// Plain single-path TCP acceptor: owns the accepted endpoints and invokes
-/// `on_accept` for application wiring.
+/// `on_accept` for application wiring. Each endpoint registers its flow with
+/// the host, which matches flows before listeners, so a retransmitted SYN
+/// reaches the endpoint, never the acceptor.
 class TcpAcceptor {
  public:
   using AcceptFn = std::function<void(TcpEndpoint&)>;
 
   TcpAcceptor(net::Host& host, std::uint16_t port, TcpConfig config, AcceptFn on_accept);
 
-  [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  /// The accepted endpoints, in accept order.
   [[nodiscard]] std::vector<TcpEndpoint*> connections();
 
  private:
-  struct Conn {
-    net::FlowKey key;
-    std::unique_ptr<TcpEndpoint> ep;
-  };
-
   void on_syn(const net::Packet& syn);
 
   net::Host& host_;
   TcpConfig config_;
   AcceptFn on_accept_;
   std::unique_ptr<TcpListener> listener_;
-  // Sorted flat vector, keyed by flow: connections() feeds harness iteration
-  // order, which must not depend on hash layout (mpr-lint unordered-iter),
-  // and a tree node per connection is pure overhead at the populations the
-  // many-flow work targets. Insertions happen once per accepted connection;
-  // lookups (duplicate-SYN check) are binary searches.
-  std::vector<Conn> connections_;
+  std::vector<std::unique_ptr<TcpEndpoint>> connections_;
 };
 
 }  // namespace mpr::tcp

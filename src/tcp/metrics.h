@@ -18,7 +18,6 @@ struct FlowMetrics {
   std::uint64_t data_packets_sent{0};   // payload-carrying packets, incl. rexmits
   std::uint64_t rexmit_packets{0};
   std::uint64_t bytes_sent{0};          // payload bytes, incl. rexmits
-  std::uint64_t bytes_acked{0};
   std::uint64_t dupacks{0};
   std::uint64_t fast_retransmit_events{0};
   std::uint64_t timeouts{0};
@@ -27,12 +26,10 @@ struct FlowMetrics {
   // Receiver side.
   std::uint64_t data_packets_received{0};
   std::uint64_t bytes_received{0};      // in-order payload delivered up
-  std::uint64_t out_of_order_packets{0};
 
   // Timeline.
   sim::TimePoint first_syn_time;
   sim::TimePoint established_time;
-  sim::TimePoint last_data_rx_time;
 
   [[nodiscard]] double loss_rate() const {
     return data_packets_sent == 0

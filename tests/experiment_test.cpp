@@ -282,9 +282,10 @@ struct PinnedPath {
 // What a pinned run adds to the plain download.
 enum class PinVariant {
   kPlain,
-  kFaults,      // the lossy fault script below
-  kMaxSimTime,  // the max_sim_time watchdog stops it at 1.5 s
-  kTimeout,     // the timeout stops it at 1.5 s
+  kFaults,       // the lossy fault script below
+  kMaxSimTime,   // the max_sim_time watchdog stops it at 1.5 s
+  kTimeout,      // the timeout stops it at 1.5 s
+  kEveryAction,  // the every-action script below, without the warm-up
 };
 
 struct PinnedRun {
@@ -331,6 +332,45 @@ RunResult pinned_run(const PinnedRun& pin, bool traced) {
     rc.faults = netem::FaultSchedule::parse(script, &error);
     EXPECT_EQ(error, "");
   }
+  if (pin.variant == PinVariant::kEveryAction) {
+    // Without the warm-up the first SYN leaves from Session's constructor,
+    // so only a t = 0 middlebox applied there rewrites it; a NAT that
+    // misses the SYN desynchronizes the WiFi flow. A single-path run takes
+    // the blackout of ifdown / ifup and ignores `sched`.
+    std::istringstream script{
+        "0.0 wifi mbox nat_seq 100000\n"
+        "0.0 cell mbox corrupt 5\n"
+        "0.3 wifi delay 10\n"
+        "0.4 cell rate 0.5\n"
+        "0.5 wifi burstloss 0.05 0.3 0.005 0.3\n"
+        "0.6 conn sched redundant\n"
+        "0.8 wifi lossclear\n"
+        "0.9 cell delay 20\n"
+        "1.0 cell outage\n"
+        "1.3 cell restore\n"
+        "1.4 conn sched weighted 2 1\n"
+        "1.5 wifi rate 0.7\n"
+        "1.6 wifi ifdown\n"
+        "1.9 wifi delay 0\n"
+        "2.1 cell mbox strip_join\n"
+        "2.2 wifi ifup\n"
+        "2.3 cell burstloss 0.02 0.5 0 0.2\n"
+        "2.5 cell lossclear\n"
+        "2.6 wifi outage\n"
+        "2.7 wifi restore\n"
+        "2.8 conn sched rr\n"
+        "2.9 cell ifdown\n"
+        "3.1 cell mbox off\n"
+        "3.2 cell ifup\n"
+        "3.3 cell mbox split 3\n"
+        "3.4 wifi mbox coalesce 2\n"
+        "3.5 wifi mbox off\n"
+        "3.6 conn sched minrtt\n"};
+    std::string error;
+    rc.faults = netem::FaultSchedule::parse(script, &error);
+    EXPECT_EQ(error, "");
+    rc.ping_warmup = false;
+  }
   if (!traced) return run_download(tb, rc);
   Session session{tb, rc};
   const RunResult r = session.run();
@@ -354,6 +394,38 @@ TEST(Run, PinnedOutputsPerPathMode) {
        RunOutcome::kWatchdogAbort, 522200, 0x405e000000000001ULL, {390, 15, 134}, {0, 0, 0}, 0, 0},
       {"MP-2@timeout", PathMode::kMptcp2, PinVariant::kTimeout, RunOutcome::kTimeout, 782600,
        0x3ff8000000000000ULL, {352, 24, 137}, {290, 0, 129}, 559, 0},
+  };
+  for (const PinnedRun& pin : pins) {
+    for (const bool traced : {false, true}) {
+      const RunResult r = pinned_run(pin, traced);
+      const std::string label = std::string{pin.label} + (traced ? " traced" : "");
+      const auto expect_path = [&label](const PathStats& got, const PinnedPath& want,
+                                        const char* path) {
+        EXPECT_EQ(got.data_packets_sent, want.data_packets_sent) << label << " " << path;
+        EXPECT_EQ(got.rexmit_packets, want.rexmit_packets) << label << " " << path;
+        EXPECT_EQ(got.rtt_ms.size(), want.rtt_samples) << label << " " << path;
+      };
+      const auto time_bits = std::bit_cast<std::uint64_t>(r.download_time_s);
+      EXPECT_EQ(r.outcome, pin.outcome) << label;
+      EXPECT_EQ(r.delivered_bytes, pin.delivered_bytes) << label;
+      EXPECT_EQ(time_bits, pin.download_time_bits)
+          << label << " download_time_s=" << r.download_time_s << " bits=0x" << std::hex
+          << time_bits;
+      expect_path(r.wifi, pin.wifi, "wifi");
+      expect_path(r.cellular, pin.cellular, "cellular");
+      EXPECT_EQ(r.ofo_ms.size(), pin.ofo_samples) << label;
+      EXPECT_EQ(r.reinjections, pin.reinjections) << label;
+    }
+  }
+}
+
+// Every scenario action on wifi, cell and conn, applied by the run itself.
+TEST(Run, PinnedScenarioActions) {
+  const PinnedRun pins[] = {
+      {"SP-WiFi", PathMode::kSingleWifi, PinVariant::kEveryAction, RunOutcome::kCompleted,
+       2097152, 0x4015ef53ae979c59ULL, {1546, 48, 600}, {0, 0, 0}, 0, 0},
+      {"MP-4", PathMode::kMptcp4, PinVariant::kEveryAction, RunOutcome::kCompleted, 2097152,
+       0x40213bac0613fc73ULL, {1139, 70, 407}, {774, 90, 359}, 1617, 189},
   };
   for (const PinnedRun& pin : pins) {
     for (const bool traced : {false, true}) {

@@ -1,6 +1,6 @@
 // Fault-injection subsystem tests.
 //
-// Covers the scenario timeline itself (parser, injector bookkeeping) and the
+// Covers the scenario timeline itself (parser, unknown links) and the
 // failure-path hardening it exercises end to end:
 //   * the acceptance scenario — a scripted 10 s WiFi blackout in the middle
 //     of a 32 MB download: 2-path MPTCP completes with every byte delivered
@@ -89,18 +89,23 @@ TEST(FaultSchedule, RejectsMalformedLines) {
   expect_error("2.0 wifi\n");                   // missing action
 }
 
-TEST(FaultInjector, CountsUnmatchedLinks) {
-  TestbedConfig cfg;
-  cfg.seed = 1;
-  experiment::Testbed tb{cfg};
-  netem::FaultInjector injector{tb.sim()};
-  injector.bind("wifi", &tb.wifi_access());
-  FaultSchedule s;
-  s.outage(0.5, "wifi").outage(0.5, "satellite").restore(1.0, "wifi");
-  injector.install(s);
-  tb.sim().run_for(sim::Duration::seconds(2));
-  EXPECT_EQ(injector.applied_events(), 2u);
-  EXPECT_EQ(injector.unmatched_events(), 1u);
+// A run has only "wifi" and "cell": an event on any other link is ignored.
+TEST(FaultSchedule, EventsOnAnUnknownLinkChangeNothing) {
+  TestbedConfig tb;
+  tb.seed = 1;
+  RunConfig rc;
+  rc.file_bytes = 4 << 20;
+  const RunResult plain = experiment::run_download(tb, rc);
+  rc.faults.outage(0.5, "satellite").restore(1.0, "satellite");
+  const RunResult satellite = experiment::run_download(tb, rc);
+  ASSERT_TRUE(plain.completed);
+  EXPECT_EQ(satellite.download_time_s, plain.download_time_s);
+  EXPECT_EQ(satellite.delivered_bytes, plain.delivered_bytes);
+  EXPECT_EQ(satellite.wifi.rexmit_packets, plain.wifi.rexmit_packets);
+  EXPECT_EQ(satellite.cellular.rexmit_packets, plain.cellular.rexmit_packets);
+  // The same window on WiFi does fall inside the download.
+  rc.faults = FaultSchedule{}.outage(0.5, "wifi").restore(1.0, "wifi");
+  EXPECT_NE(experiment::run_download(tb, rc).download_time_s, plain.download_time_s);
 }
 
 // ---------------------------------------------------------------------------

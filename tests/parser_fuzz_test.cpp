@@ -184,7 +184,7 @@ std::string check_scenario(const std::string& text, bool must_reject = false) {
     for (const double w : ev.weights) {
       if (!(std::isfinite(w) && w > 0)) return "bad weight";
     }
-    // What FaultInjector::apply converts: milliseconds to the clock, the
+    // What netem::apply converts: milliseconds to the clock, the
     // middlebox counts to their integer types.
     const bool ms = ev.kind == FaultEvent::Kind::kDelayAdd ||
                     (ev.kind == FaultEvent::Kind::kMiddlebox && ev.arg == "coalesce");

@@ -13,7 +13,8 @@
 //     cross-checked against the tcptrace-style analyzer (and, in
 //     MPR_AUDIT=ON builds, against the armed invariant auditor),
 //   * MPR_JOBS=1 vs 8 bit-identity for every scheduler x controller cell,
-//   * the `sched` scenario action: parsing, validation and live injection.
+//   * the `sched` scenario action: parsing, validation and the switch at
+//     both ends of a run.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -537,27 +538,21 @@ TEST(SchedScenario, RejectsMalformedLines) {
   expect_error("5.0 conn sched\n");                // missing name
 }
 
-TEST(SchedScenario, InjectorFiresTheCallback) {
-  TestbedConfig tb_cfg;
-  experiment::Testbed tb{tb_cfg};
-  netem::FaultInjector injector{tb.sim()};
-  injector.bind("wifi", &tb.wifi_access());
-  injector.bind("cell", &tb.cell_access());
-  std::vector<std::pair<std::string, std::vector<double>>> seen;
-  injector.on_scheduler_change = [&seen](const std::string& name,
-                                         const std::vector<double>& weights) {
-    seen.emplace_back(name, weights);
-  };
-  FaultSchedule s;
-  s.scheduler_change(0.5, "weighted", {3.0, 1.0}).scheduler_change(1.0, "minrtt");
-  injector.install(s);
-  tb.sim().run_for(sim::Duration::seconds(2));
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].first, "weighted");
-  EXPECT_EQ(seen[0].second, (std::vector<double>{3.0, 1.0}));
-  EXPECT_EQ(seen[1].first, "minrtt");
-  EXPECT_EQ(injector.applied_events(), 2u);
-  EXPECT_EQ(injector.unmatched_events(), 0u);
+// A `sched` event switches the client and the server connection: the
+// server sends the download, so its strategy is the one that dispatches.
+TEST(SchedScenario, SwitchReachesBothEnds) {
+  RunConfig rc;
+  rc.file_bytes = 8 << 20;
+  rc.faults.scheduler_change(0.5, "weighted", {3.0, 1.0}).scheduler_change(1.0, "rr");
+  experiment::Session session{TestbedConfig{}, rc};
+  ASSERT_TRUE(session.run().completed);
+  // The download outlived both events.
+  EXPECT_GT(session.testbed().sim().now().to_seconds(), 1.0);
+  ASSERT_EQ(session.mptcp_server()->connections().size(), 1u);
+  const MptcpConnection& server = *session.mptcp_server()->connections().front();
+  EXPECT_EQ(session.client_connection()->config().scheduler, SchedulerKind::kRoundRobin);
+  EXPECT_EQ(server.config().scheduler, SchedulerKind::kRoundRobin);
+  EXPECT_TRUE(server.config().scheduler_weights.empty());
 }
 
 }  // namespace
