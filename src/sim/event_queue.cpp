@@ -11,12 +11,12 @@ std::atomic<std::uint64_t> EventQueue::total_executed_{0};
 
 namespace {
 // Typical runs keep a few dozen pending events (timers + in-flight packets);
-// pre-sizing the slot table and heap avoids the early growth reallocations.
+// pre-sizing the slot table and the run avoids the early growth reallocations.
 constexpr std::size_t kInitialCapacity = 256;
 }  // namespace
 
 EventQueue::EventQueue() {
-  heap_.reserve(kInitialCapacity);
+  near_.reserve(kInitialCapacity);
   meta_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
 }
@@ -30,7 +30,7 @@ void EventQueue::grow_arena() { arena_.push_back(new ActionSlot[kArenaChunkSize]
 
 std::uint32_t EventQueue::add_slot() {
   const auto slot = static_cast<std::uint32_t>(slot_count_);
-  // The heap packs slot indices into 24 bits; running out means 16.7M
+  // A record packs slot indices into 24 bits; running out means 16.7M
   // events pending at once — far beyond anything real, so treat it as the
   // hard programming error it is rather than corrupting event order.
   if (slot >= kMaxSlots) std::abort();
@@ -51,37 +51,16 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::heap_push(HeapRec rec) {
-  std::size_t i = heap_.size();
-  heap_.push_back(rec);
-  while (i > 0) {
-    const std::size_t p = (i - 1) >> 2;
-    if (!rec_less(rec, heap_[p])) break;
-    heap_[i] = heap_[p];
-    i = p;
+// Every record that runs before `rec` moves one place toward the back, and
+// `rec` takes the gap, so the run stays sorted latest-first.
+void EventQueue::near_insert(NearRec rec) {
+  std::size_t i = near_.size();
+  near_.push_back(rec);
+  while (i > 0 && rec_less(near_[i - 1], rec)) {
+    near_[i] = near_[i - 1];
+    --i;
   }
-  heap_[i] = rec;
-}
-
-void EventQueue::heap_pop_top() {
-  const std::size_t n = heap_.size() - 1;
-  const HeapRec rec = heap_[n];
-  heap_.pop_back();
-  if (n == 0) return;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t c = (i << 2) + 1;
-    if (c >= n) break;
-    std::size_t best = c;
-    const std::size_t end = std::min(c + 4, n);
-    for (std::size_t j = c + 1; j < end; ++j) {
-      if (rec_less(heap_[j], heap_[best])) best = j;
-    }
-    if (!rec_less(heap_[best], rec)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = rec;
+  near_[i] = rec;
 }
 
 EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
@@ -96,8 +75,8 @@ EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
   if (when < now_) when = now_;  // never schedule into the past
   const EventId id = encode(slot, meta_[slot].gen);
   const std::uint64_t seq = next_seq_++;
-  assert(seq < (std::uint64_t{1} << (64 - kSlotIndexBits)) && "seq overflows packed heap record");
-  // Far-out events park in the wheel; near ones go straight to the heap.
+  assert(seq < (std::uint64_t{1} << (64 - kSlotIndexBits)) && "seq overflows packed record");
+  // Far-out events park in the wheel; near ones go straight to the run.
   // The min_insert_ns() guard covers the window where the wheel cursor has
   // run ahead of now_ (it moves to the drain target, which can exceed the
   // time of the event that ends up executing). Routing never affects
@@ -106,7 +85,7 @@ EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
     wheel_.insert(TimingWheel::Entry{when, pack(seq, slot)});
     wheel_next_due_ns_ = wheel_.next_due().ns();
   } else {
-    heap_push(HeapRec{when.ns(), pack(seq, slot)});
+    near_insert(NearRec{when.ns(), pack(seq, slot)});
   }
   ++live_count_;
   return id;
@@ -119,8 +98,8 @@ bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(slot_plus_one - 1);
   SlotMeta& m = meta_[slot];
   if (m.live == 0 || m.gen != static_cast<std::uint32_t>(id >> 32)) return false;
-  // Tombstone: drop the action now (frees captured state), leave the heap
-  // or wheel entry to be skipped when it surfaces. The slot is recycled
+  // Tombstone: drop the action now (frees captured state), leave the run's
+  // record or the wheel entry to be skipped when it surfaces. The slot is recycled
   // only then, so the id space stays unambiguous.
   m.live = 0;
   arena_action(slot).drop();
@@ -130,15 +109,14 @@ bool EventQueue::cancel(EventId id) {
 
 bool EventQueue::prepare_top(std::int64_t limit_ns) {
   for (;;) {
-    // Sweep tombstoned heap tops so heap_[0], if present, is live. Only the
-    // dense 8-byte meta records are touched — a sweep never drags the
-    // 64-byte action lines through the cache.
-    while (!heap_.empty() && meta_[slot_of(heap_[0].seq_slot)].live == 0) {
-      const std::uint32_t slot = slot_of(heap_[0].seq_slot);
-      heap_pop_top();
-      release_slot(slot);
+    // Sweep tombstoned records off the back so near_.back(), if present, is
+    // live. Only the dense 8-byte meta records are touched — a sweep never
+    // drags the 64-byte action lines through the cache.
+    while (!near_.empty() && meta_[slot_of(near_.back().seq_slot)].live == 0) {
+      release_slot(slot_of(near_.back().seq_slot));
+      near_.pop_back();
     }
-    const std::int64_t top_ns = heap_.empty() ? kNoWheelEvent : heap_[0].when_ns;
+    const std::int64_t top_ns = near_.empty() ? kNoWheelEvent : near_.back().when_ns;
     // One int64 compare decides whether the wheel can matter: its cached
     // next_due is a lower bound on every parked entry's time. Equality must
     // drain too — a wheel entry at the same instant can carry a lower seq.
@@ -147,13 +125,13 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
       return top_ns != kNoWheelEvent && top_ns <= limit_ns;
     }
     // Drain every wheel slot that could start at or before the earliest
-    // runnable instant. Entries land in the heap (or die, if tombstoned);
-    // the next pass of the loop re-evaluates the new top. With the heap
+    // runnable instant. Entries land in the run (or die, if tombstoned);
+    // the next pass of the loop re-evaluates the new top. With the run
     // empty, that instant is the wheel's own next slot, not `limit_ns`:
     // draining to a far deadline would move the cursor out to it, and every
     // timer armed after that would skip the wheel and leave its tombstone
-    // in the heap.
-    const std::int64_t target = heap_.empty() ? wheel_next_due_ns_ : std::min(top_ns, limit_ns);
+    // in the run.
+    const std::int64_t target = near_.empty() ? wheel_next_due_ns_ : std::min(top_ns, limit_ns);
     // A cancelled timer leaves the wheel at the first slot it reaches, so
     // its tombstone is not carried down a level.
     wheel_.advance(
@@ -161,9 +139,9 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
         [this](const TimingWheel::Entry& e) {
           const std::uint32_t slot = slot_of(e.seq_slot);
           if (meta_[slot].live != 0) {
-            heap_push(HeapRec{e.when.ns(), e.seq_slot});  // already the packed word
+            near_insert(NearRec{e.when.ns(), e.seq_slot});  // already the packed word
           } else {
-            release_slot(slot);  // cancelled while parked: never touches the heap
+            release_slot(slot);  // cancelled while parked: never touches the run
           }
         },
         [this](const TimingWheel::Entry& e) { return meta_[slot_of(e.seq_slot)].live != 0; });
@@ -172,9 +150,9 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
 }
 
 void EventQueue::pop_and_execute() {
-  const std::int64_t t_ns = heap_[0].when_ns;
-  const std::uint32_t slot = slot_of(heap_[0].seq_slot);
-  heap_pop_top();
+  const std::int64_t t_ns = near_.back().when_ns;
+  const std::uint32_t slot = slot_of(near_.back().seq_slot);
+  near_.pop_back();
   now_ = TimePoint::from_ns(t_ns);
 #if MPR_AUDIT
   clock_audit_.on_event(t_ns);
@@ -201,7 +179,7 @@ bool EventQueue::step(TimePoint limit) {
     if (limit == TimePoint::max() && live_count_ != 0) {
       check::report({.rule = "event.live_count",
                      .detail = std::to_string(live_count_) +
-                               " live event(s) unaccounted for in a drained heap",
+                               " live event(s) unaccounted for in a drained queue",
                      .time_ns = now_.ns()});
     }
 #endif

@@ -1,43 +1,53 @@
 // Discrete-event scheduler.
 //
-// A two-tier scheduler: a cache-friendly 4-ary min-heap for the dense
-// near-term events (packet hops, ACK deliveries) and a hierarchical timing
-// wheel (sim/timing_wheel.h) for far-out timers (RTO, delayed-ACK,
-// retries), which are armed constantly and cancelled almost always. All
-// simulator components schedule through this queue; there is no other
-// source of time.
+// Two tiers: a short run of near-term records kept sorted for the dense
+// events less than kWheelMinDelayNs ahead (packet hops, ACK deliveries,
+// same-instant work), and a hierarchical timing wheel (sim/timing_wheel.h)
+// for far-out timers (RTO, delayed-ACK, retries), which are armed
+// constantly and cancelled almost always. All simulator components
+// schedule through this queue; there is no other source of time.
 //
-// Ordering contract (unchanged from the single-heap design): events run in
-// exact (when, seq) order, where seq is assigned at schedule time — FIFO
-// among events scheduled for the same instant. The wheel never reorders
-// anything: it hands entries to the heap no later than their due time
-// (a slot's start is <= every due time inside it), and the heap is the
-// sole execution source. Routing between tiers therefore cannot change
-// outputs; runs stay bit-identical to the pure-heap scheduler.
+// Ordering contract: events run in exact (when, seq) order, where seq is
+// assigned at schedule time — FIFO among events scheduled for the same
+// instant. The wheel never reorders anything: it hands entries to the run
+// no later than their due time (a slot's start is <= every due time inside
+// it), and the run is the sole execution source. Routing between tiers
+// therefore cannot change outputs.
+//
+// The near-term run is one FlatVec sorted latest-first. Since the wheel
+// takes everything 16 ms or more ahead, it holds only what is in flight on
+// the links: a handful of records on average in a download, a few hundred
+// at the very most. At that size one insertion step beats a heap: a
+// schedule walks from the back past every earlier record and puts the new
+// one there, the next event is back(), and a pop is pop_back(). The trade
+// is that a schedule costs O(records it passes), so a queue that holds
+// thousands of events microseconds apart (a shape no simulated run has) is
+// slower than with a heap.
 //
 // Cancellation uses a generation/tombstone slot scheme instead of a hash
 // set: every pending event owns a slot in a recycled slot table, its id
 // encodes (slot, generation), and cancel() just tombstones the slot. A
 // tombstone parked in the wheel is swept in bulk when its slot opens — it
-// never travels through the heap at all, which is what makes the timer
+// never travels through the run at all, which is what makes the timer
 // arm/cancel churn of every data flight cheap.
 //
-// Data layout: the heap sifts only 16-byte (when, seq, slot) records —
-// seq and slot share one word, with seq in the high bits so the packed
-// compare still orders FIFO at equal times. The 64-byte actions never
-// move: they live in a chunked slot arena whose chunks are stable for the
-// arena's lifetime. schedule_at/schedule_after take the closure as a
-// template argument and construct it directly in its slot (its one move),
-// and the event runs it *in place* with one indirect call that invokes and
-// then destroys it — not moved out per event, not shuffled by heap sifts,
+// Data layout: the run holds only 16-byte (when, seq, slot) records — seq
+// and slot share one word, with seq in the high bits so the packed compare
+// still orders FIFO at equal times. The 64-byte actions never move: they
+// live in a chunked slot arena whose chunks are stable for the arena's
+// lifetime. schedule_at/schedule_after take the closure as a template
+// argument and construct it directly in its slot (its one move), and the
+// event runs it *in place* with one indirect call that invokes and then
+// destroys it — not moved out per event, not shifted by insertion steps,
 // not reallocated when the slot table grows. Slot liveness/generation sits
-// in a separate dense meta array so the tombstone sweep at the heap top
-// touches 8-byte records, not action cache lines.
+// in a separate dense meta array so the tombstone sweep at the back of the
+// run touches 8-byte records, not action cache lines.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "check/audit.h"
@@ -56,7 +66,7 @@ inline constexpr EventId kInvalidEventId = 0;
 class EventQueue {
  public:
   /// Events at least this far ahead of now() go to the timing wheel; nearer
-  /// ones (packet hops, same-instant work) go straight to the heap. Sized
+  /// ones (packet hops, same-instant work) go straight to the run. Sized
   /// so every protocol timer (delayed-ACK 40ms, RTO >= 200ms) wheels while
   /// sub-RTT packet events never pay the wheel detour.
   static constexpr std::int64_t kWheelMinDelayNs = 16'000'000;
@@ -106,10 +116,10 @@ class EventQueue {
   /// Number of live pending events.
   [[nodiscard]] std::size_t pending() const { return live_count_; }
 
-  /// Records in the near-term heap, cancelled ones not yet swept included.
+  /// Records in the near-term run, cancelled ones not yet swept included.
   /// Timers park in the wheel, so this follows the packets in flight, not
   /// the timer churn (the wheel-routing tests read it).
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t near_size() const { return near_.size(); }
 
   /// Total events executed so far (for instrumentation and benchmarks).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -121,12 +131,6 @@ class EventQueue {
     return total_executed_.load(std::memory_order_relaxed);
   }
 
-  // Exposed for the layout pins and the sift-move bench/test: the heap
-  // permutes HeapRec values only; actions stay put in the slot arena.
-  struct HeapRec {
-    std::int64_t when_ns;
-    std::uint64_t seq_slot;  // (seq << kSlotIndexBits) | slot
-  };
   /// Slot indices fit 24 bits: 16.7M *simultaneously pending* events, ~3
   /// orders of magnitude above any real run. seq gets the remaining 40
   /// bits, monotonically increasing per queue — the packed word compares
@@ -136,6 +140,17 @@ class EventQueue {
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotIndexBits;
 
  private:
+  // The run moves NearRec values only; actions stay put in the slot arena.
+  struct NearRec {
+    std::int64_t when_ns;
+    std::uint64_t seq_slot;  // (seq << kSlotIndexBits) | slot
+  };
+  // What an insertion step shifts: fixed 16-byte records, four per cache
+  // line, the size of a wheel entry. Growing it past this fails the build
+  // before it quietly doubles the bytes every schedule moves.
+  static_assert(sizeof(NearRec) == 16);
+  static_assert(std::is_trivially_copyable_v<NearRec>);
+
   struct SlotMeta {
     std::uint32_t gen{0};
     std::uint32_t live{0};
@@ -157,7 +172,7 @@ class EventQueue {
   [[nodiscard]] static std::uint32_t slot_of(std::uint64_t seq_slot) {
     return static_cast<std::uint32_t>(seq_slot & (kMaxSlots - 1));
   }
-  [[nodiscard]] static bool rec_less(const HeapRec& a, const HeapRec& b) {
+  [[nodiscard]] static bool rec_less(const NearRec& a, const NearRec& b) {
     if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
     return a.seq_slot < b.seq_slot;
   }
@@ -181,7 +196,7 @@ class EventQueue {
   void release_slot(std::uint32_t slot);  // bumps generation, recycles
 
   /// The out-of-line half of a schedule, once the action sits in `slot`:
-  /// marks the slot live, draws the event's seq and files it in the heap
+  /// marks the slot live, draws the event's seq and files it in the run
   /// or the wheel.
   EventId enqueue(TimePoint when, std::uint32_t slot);
 
@@ -189,23 +204,23 @@ class EventQueue {
   // audited hot path, and this is its only allocation.
   [[gnu::noinline, gnu::cold]] void grow_arena();
 
-  void heap_push(HeapRec rec);
-  void heap_pop_top();
+  /// Files `rec` in the run: one insertion step from the back.
+  void near_insert(NearRec rec);
 
-  /// Makes heap_[0] the globally earliest live event: sweeps tombstoned
-  /// heap tops and drains the wheel whenever a wheel slot could start at or
-  /// before the heap top (bounded by `limit_ns` so run_until never opens
-  /// slots beyond its deadline). Returns false when nothing live remains
-  /// at or before the limit.
+  /// Makes near_.back() the globally earliest live event: sweeps tombstoned
+  /// records off the back and drains the wheel whenever a wheel slot could
+  /// start at or before that record (bounded by `limit_ns` so run_until
+  /// never opens slots beyond its deadline). Returns false when nothing
+  /// live remains at or before the limit.
   bool prepare_top(std::int64_t limit_ns);
 
-  /// Pops heap_[0], which prepare_top made live, advances the clock to it,
-  /// runs and destroys its action in place and recycles the slot.
+  /// Pops near_.back(), which prepare_top made live, advances the clock to
+  /// it, runs and destroys its action in place and recycles the slot.
   void pop_and_execute();
 
   // FlatVec, not std::vector: these four grow on the audited hot path, and
   // FlatVec keeps the reallocation out of line (see sim/flat_vec.h).
-  FlatVec<HeapRec> heap_;
+  FlatVec<NearRec> near_;  // sorted latest-first: back() runs next
   FlatVec<SlotMeta> meta_;  // dense: liveness/generation only
   FlatVec<ActionSlot*> arena_;  // stable owned chunks of actions (freed in dtor)
   std::size_t slot_count_{0};
@@ -225,12 +240,5 @@ class EventQueue {
 
   static std::atomic<std::uint64_t> total_executed_;
 };
-
-// What the sift actually moves: fixed 16-byte records, 4 per cache line —
-// a 4-ary node's children span exactly one line. The meta records the
-// tombstone sweep walks are 8 bytes. Growing either past this fails the
-// build before it quietly doubles sift traffic.
-static_assert(sizeof(EventQueue::HeapRec) == 16);
-static_assert(std::is_trivially_copyable_v<EventQueue::HeapRec>);
 
 }  // namespace mpr::sim

@@ -14,7 +14,7 @@
 // growth still happens (pools and queues size themselves to their
 // high-water mark); it just can never be inlined back into audited code.
 //
-//   FlatVec<T>   contiguous vector for trivially-copyable records (heap
+//   FlatVec<T>   contiguous vector for trivially-copyable records (event
 //                records, slot metadata, free lists). push_back_unchecked
 //                is for callers that maintain a capacity invariant
 //                elsewhere (e.g. PacketPool::release, whose freelist can

@@ -16,7 +16,7 @@ TimingWheel::TimingWheel() = default;
 
 void TimingWheel::insert(const Entry& e) {
   const std::int64_t tick = to_tick(e.when.ns());
-  assert(tick >= cursor_ && "wheel insert below cursor; route near events to the heap");
+  assert(tick >= cursor_ && "wheel insert below cursor; route near events to the run");
   const std::int64_t delta = tick - cursor_;
 
   // Smallest level whose span covers the delta: 6 bits of delta per level.

@@ -1,13 +1,14 @@
 // Hierarchical timing wheel for far-out events.
 //
-// The EventQueue's binary heap is the right structure for the dense
+// The EventQueue's short sorted run is the right structure for the dense
 // near-term packet events, but timers (RTO, delayed-ACK, join-retry,
 // dead-path deadlines) have a different access pattern: armed constantly,
-// cancelled almost always, fired almost never. In a heap every arm is an
-// O(log n) sift and every cancel leaves a tombstone that must later be
-// popped through the root. The wheel makes arm an O(1) bucket append and
-// lets a cancelled timer die in place — its tombstone is swept in bulk
-// when the slot expires, never travelling through the heap at all.
+// cancelled almost always, fired almost never. In the run every arm would
+// be an insertion step past every packet in flight, and every cancel would
+// leave a tombstone that must later be popped off its back. The wheel
+// makes arm an O(1) bucket append and lets a cancelled timer die in place
+// — its tombstone is swept in bulk when the slot expires, never travelling
+// through the run at all.
 //
 // Layout: kLevels levels of kSlots slots each; level j slots are
 // 64^j level-0 ticks wide (one tick = 2^kResolutionBits ns). An entry is
@@ -17,12 +18,12 @@
 //
 // Ordering contract: the wheel never executes anything and never decides
 // order. advance(t) hands every entry whose *slot* has opened by `t` to a
-// sink; the sink (the EventQueue heap) re-establishes exact (when, seq)
-// order before execution. Slot granularity therefore only bounds how
-// early an entry is handed over — never how late: an entry's slot start
-// is <= its due time, so it always reaches the heap before the clock
-// passes it. This is what keeps outputs bit-identical to the pure-heap
-// scheduler.
+// sink; the sink (the EventQueue's sorted run) re-establishes exact
+// (when, seq) order before execution. Slot granularity therefore only
+// bounds how early an entry is handed over — never how late: an entry's
+// slot start is <= its due time, so it always reaches the run before the
+// clock passes it. This is what keeps outputs bit-identical to a scheduler
+// without a wheel.
 #pragma once
 
 #include <bit>
@@ -38,8 +39,8 @@ class TimingWheel {
  public:
   /// What the wheel stores: the due time plus the EventQueue's packed
   /// (seq << slot-bits) | slot word, opaque to the wheel itself. Matching
-  /// the heap's 16-byte record means bucket drains and cascades move the
-  /// same four entries per cache line the heap sifts.
+  /// the run's 16-byte record means bucket drains and cascades move the
+  /// same four entries per cache line an insertion step shifts.
   struct Entry {
     TimePoint when;
     std::uint64_t seq_slot{0};
@@ -57,7 +58,7 @@ class TimingWheel {
   TimingWheel();
 
   /// Files `e` by its due tick. Precondition: tick(e.when) >= cursor
-  /// (callers route anything nearer straight to the heap; see
+  /// (callers route anything nearer straight to the run; see
   /// min_insert_ns()).
   void insert(const Entry& e);
 
@@ -82,12 +83,12 @@ class TimingWheel {
 
   /// Lower bound on the earliest entry's due time: the start time of the
   /// earliest occupied slot (TimePoint::max() when empty). The EventQueue
-  /// compares this against its heap top to decide when the wheel must be
+  /// compares this against its next record to decide when the wheel must be
   /// advanced; one cached int64 compare per pop.
   [[nodiscard]] TimePoint next_due() const { return next_due_; }
 
   /// Earliest `when` that insert() currently accepts. Anything nearer is
-  /// the caller's to keep (the heap); this floor only moves forward when
+  /// the caller's to keep (the run); this floor only moves forward when
   /// advance() runs.
   [[nodiscard]] std::int64_t min_insert_ns() const { return cursor_ << kResolutionBits; }
 
@@ -142,6 +143,6 @@ class TimingWheel {
 };
 
 static_assert(sizeof(TimingWheel::Entry) == 16,
-              "wheel entries are sized to pack four per cache line, like HeapRec");
+              "wheel entries are sized to pack four per cache line, like the run's records");
 
 }  // namespace mpr::sim

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,49 +178,90 @@ TEST(TimingWheelTest, RandomizedStressNeverHandsOverLate) {
   }
 }
 
-// --- EventQueue-level behavior (wheel + heap integration) -----------------
+// --- EventQueue-level behavior (wheel + run integration) ------------------
 
 TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
-  // Random mix of near (heap) and far (wheel) schedules issued from inside
-  // running events; execution order must match a stable (when, issue-order)
-  // sort — the pure-heap reference semantics.
-  std::mt19937_64 rng{77};
-  EventQueue q;
-  struct Ref {
-    std::int64_t when_ns;
-    int id;
-  };
-  std::vector<Ref> ref;
-  std::vector<int> order;
-  int next_id = 0;
-  const std::function<void()> tick = [&] {
-    const int fanout = static_cast<int>(rng() % 3);
-    for (int i = 0; i < fanout && next_id < 400; ++i) {
-      // Delays from 0 to ~2.1 s: spans same-instant, sub-threshold heap
-      // traffic, and multi-level wheel parking.
-      const auto delay = static_cast<std::int64_t>(rng() % (std::uint64_t{1} << 31));
-      const int id = next_id++;
-      const std::int64_t when = q.now().ns() + delay;
-      ref.push_back(Ref{when, id});
-      q.schedule_after(Duration::nanos(delay), [&, id] {
-        order.push_back(id);
-        tick();
-      });
-    }
-  };
-  const int id0 = next_id++;
-  ref.push_back(Ref{0, id0});
-  q.schedule_at(TimePoint::from_ns(0), [&, id0] {
-    order.push_back(id0);
-    tick();
-  });
-  q.run();
+  // Events scheduled from inside running events, near (the sorted run) and
+  // far (the wheel) mixed, some cancelled while pending, the queue driven by
+  // bounded steps. Execution order must match a stable (when, issue-order)
+  // sort of the events never cancelled. The delay mixes: spread from 0 to
+  // ~2.1 s; drawn from a handful of values, so many events share an
+  // instant; bursts of in-order pushes 0.5-12 ms ahead, as a link's FIFO
+  // deliveries make; and all three together.
+  enum class Mix { kSpread, kFewInstants, kFifoBursts, kAll };
+  constexpr std::int64_t kInstants[] = {0, 1'000, 500'000, 16'000'000, 40'000'000, 200'000'000};
+  constexpr int kEvents = 600;
+  for (const Mix mix : {Mix::kSpread, Mix::kFewInstants, Mix::kFifoBursts, Mix::kAll}) {
+    for (const std::uint64_t seed : {77u, 78u, 79u}) {
+      SCOPED_TRACE("mix " + std::to_string(static_cast<int>(mix)) + " seed " +
+                   std::to_string(seed));
+      std::mt19937_64 rng{seed};
+      EventQueue q;
+      struct Ref {
+        std::int64_t when_ns;
+        int id;
+      };
+      std::vector<Ref> ref;
+      std::vector<EventId> ids;  // indexed by ref id, like the two flags
+      std::vector<char> ran;
+      std::vector<char> cancelled;
+      std::vector<int> order;
+      std::function<void()> tick;
+      const auto push = [&](std::int64_t delay) {
+        const int id = static_cast<int>(ref.size());
+        ref.push_back(Ref{q.now().ns() + delay, id});
+        ran.push_back(0);
+        cancelled.push_back(0);
+        ids.push_back(q.schedule_after(Duration::nanos(delay), [&, id] {
+          ran[id] = 1;
+          order.push_back(id);
+          tick();
+        }));
+      };
+      tick = [&] {
+        const int fanout = 1 + static_cast<int>(rng() % 2);
+        for (int i = 0; i < fanout && static_cast<int>(ref.size()) < kEvents; ++i) {
+          const Mix kind = mix == Mix::kAll ? static_cast<Mix>(rng() % 3) : mix;
+          if (kind == Mix::kSpread) {
+            push(static_cast<std::int64_t>(rng() % (std::uint64_t{1} << 31)));
+          } else if (kind == Mix::kFewInstants) {
+            push(kInstants[rng() % std::size(kInstants)]);
+          } else {
+            // Back-to-back deliveries: equal or rising times, issued in order.
+            const auto first = static_cast<std::int64_t>(500'000 + rng() % 11'500'000);
+            const std::int64_t gap = rng() % 2 == 0 ? 0 : 12'000;
+            const int burst = 1 + static_cast<int>(rng() % 6);
+            for (int k = 0; k < burst; ++k) push(first + k * gap);
+          }
+        }
+        // Cancel a random issued event: only one still pending cancels.
+        if (rng() % 4 == 0) {
+          const auto victim = static_cast<std::size_t>(rng() % ref.size());
+          const bool pending = ran[victim] == 0 && cancelled[victim] == 0;
+          EXPECT_EQ(q.cancel(ids[victim]), pending) << "event " << victim;
+          if (pending) cancelled[victim] = 1;
+        }
+      };
+      push(0);
+      // Bounded steps up to a limit that moves by up to 30 ms at a time.
+      std::int64_t limit = 0;
+      while (!q.empty()) {
+        limit += static_cast<std::int64_t>(rng() % 30'000'000);
+        while (q.step(TimePoint::from_ns(limit))) {
+          ASSERT_LE(q.now().ns(), limit);
+        }
+      }
 
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const Ref& a, const Ref& b) { return a.when_ns < b.when_ns; });
-  ASSERT_EQ(order.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(order[i], ref[i].id) << "divergence at execution index " << i;
+      std::erase_if(ref, [&](const Ref& r) { return cancelled[r.id] != 0; });
+      std::stable_sort(ref.begin(), ref.end(),
+                       [](const Ref& a, const Ref& b) { return a.when_ns < b.when_ns; });
+      const auto n_cancelled = std::count(cancelled.begin(), cancelled.end(), 1);
+      ASSERT_EQ(ref.size() + static_cast<std::size_t>(n_cancelled), ran.size());
+      ASSERT_EQ(order.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(order[i], ref[i].id) << "divergence at execution index " << i;
+      }
+    }
   }
 }
 
@@ -241,12 +284,12 @@ TEST(EventQueueWheelTest, SameInstantFifoAcrossWheelAndHeap) {
   std::vector<int> order;
   // A is scheduled first, far out (wheel); B..D are scheduled for the very
   // same instant later and nearer (B from t=0 via wheel threshold paths, C
-  // and D from just before, via the heap). FIFO = issue order: A B C D.
+  // and D from just before, via the run). FIFO = issue order: A B C D.
   const TimePoint t = TimePoint::from_ns(Duration::millis(100).ns());
   q.schedule_at(t, [&] { order.push_back(0); });  // wheel (100 ms ahead)
   q.schedule_at(t, [&] { order.push_back(1); });  // wheel, same instant
   q.schedule_at(t - Duration::millis(1), [&, t] {
-    // Issued at 99 ms for 100 ms: 1 ms ahead -> heap.
+    // Issued at 99 ms for 100 ms: 1 ms ahead -> the near-term run.
     q.schedule_at(t, [&] { order.push_back(2); });
     q.schedule_at(t, [&] { order.push_back(3); });
   });
@@ -258,8 +301,8 @@ TEST(EventQueueWheelTest, BoundedStepOverAnEmptyHeapKeepsLaterTimersInTheWheel) 
   // With only a wheel timer pending, a step bounded by a far deadline (a
   // run's timeout) must open the wheel's next slot, not drain the wheel up
   // to the bound. A cursor moved out to the bound would send every timer
-  // armed later to the heap, where each cancelled one stays as a tombstone
-  // until its due time.
+  // armed later to the near-term run, where each cancelled one stays as a
+  // tombstone until its due time.
   EventQueue q;
   bool ran = false;
   q.schedule_after(Duration::seconds(1), [&] { ran = true; });
@@ -268,7 +311,7 @@ TEST(EventQueueWheelTest, BoundedStepOverAnEmptyHeapKeepsLaterTimersInTheWheel) 
   EXPECT_EQ(q.now().ns(), Duration::seconds(1).ns());
   const EventId rto = q.schedule_after(Duration::millis(200), [] {});
   ASSERT_TRUE(q.cancel(rto));
-  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_EQ(q.near_size(), 0u);
   EXPECT_TRUE(q.empty());
 }
 
