@@ -74,6 +74,11 @@ void VegasCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
   CcState& st = flow.cc_state;
   const sim::Duration rtt = flow.srtt();
   if (st.base_rtt.ns() == 0 || rtt < st.base_rtt) st.base_rtt = rtt;
+  // One Vegas decision per RTT: an epoch opens with the window its first
+  // ack finds and closes once that many bytes have been acknowledged.
+  // Slow start grows the window by every acked byte, so an epoch measured
+  // against the current window would never close there.
+  if (st.epoch_bytes == 0) st.epoch_window = flow.cwnd_bytes();
 
   if (flow.in_slow_start()) {
     // Byte-counted slow start (RFC 5681 §3.1), clamped at ssthresh; the
@@ -85,10 +90,8 @@ void VegasCc::on_ack(FlowCc& flow, std::uint64_t acked_bytes) {
                                  std::max(headroom, 0.0)));
   }
 
-  // One Vegas decision per RTT: wait until a window's worth of bytes has
-  // been acknowledged since the last adjustment.
   st.epoch_bytes += acked_bytes;
-  if (static_cast<double>(st.epoch_bytes) < flow.cwnd_bytes()) return;
+  if (static_cast<double>(st.epoch_bytes) < st.epoch_window) return;
   st.epoch_bytes = 0;
 
   const double rtt_ns = static_cast<double>(rtt.ns());

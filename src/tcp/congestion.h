@@ -28,6 +28,7 @@ struct CcState {
   double bytes_since_loss{0};           // OLIA l1_i: acked since the last loss
   double bytes_between_last_losses{0};  // OLIA l2_i: acked between the last two
   std::uint64_t epoch_bytes{0};         // Vegas: acked toward the current epoch
+  double epoch_window{0};               // Vegas: the window the current epoch opened with
   sim::Duration base_rtt{};             // Vegas: min srtt seen (zero = no sample)
 };
 

@@ -340,15 +340,17 @@ TEST(Vegas, SlowStartEndsWhenQueueEstimateIsAboveGamma) {
   MockFlow f{10, 50};
   f.set_ssthresh_bytes(1 << 20);
   cc.register_flow(f);
-  cc.on_ack(f, 14000);  // base RTT = 50 ms; slow start to 28 000 B
-  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 28000.0);
-  // Slow start grows the window by every acked byte, so an epoch closes in
-  // slow start only after a cut from outside the controller (penalization).
-  f.set_cwnd_bytes(14000);
+  // An epoch is the window it opened with, although slow start grows the
+  // window by every acked byte. The first: ten segments at the base RTT.
+  for (int i = 0; i < 10; ++i) cc.on_ack(f, 1400);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 28000.0);  // diff = 0: slow start goes on
+  EXPECT_TRUE(f.in_slow_start());
   f.set_srtt_ms(100);
-  cc.on_ack(f, 1400);  // epoch 15 400 B >= window: diff = 11·50/100 > gamma
-  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 15400.0);
-  EXPECT_EQ(f.ssthresh_bytes(), 15400u);
+  for (int i = 0; i < 19; ++i) cc.on_ack(f, 1400);
+  EXPECT_TRUE(f.in_slow_start());  // the 28 000 B epoch is still open
+  cc.on_ack(f, 1400);              // closes it: diff = 40·50/100 > gamma
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 56000.0);
+  EXPECT_EQ(f.ssthresh_bytes(), 56000u);
   EXPECT_FALSE(f.in_slow_start());
 }
 
@@ -384,13 +386,13 @@ TEST(Vegas, RtoRelearnsTheBaseRtt) {
   cc.on_ack(f, 1400);  // base RTT = 50 ms
   f.set_srtt_ms(100);
   cc.on_rto(f);  // cwnd 1 MSS, ssthresh 14 000 B
+  // The base RTT is relearned as 100 ms, so every slow-start epoch reads
+  // diff = 0 and slow start runs up to ssthresh. A kept 50 ms base would
+  // read diff = 4·50/100 = 2 > gamma when the 2 800 B epoch closes (third
+  // ack) and end slow start at 5 600 B.
   for (int i = 0; i < 9; ++i) cc.on_ack(f, 1400);
-  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 14000.0);  // slow start up to ssthresh
-  // The epoch restarted at the RTO and closes now. The base RTT was
-  // relearned as 100 ms, so diff = 0 and the window rises; a kept 50 ms
-  // base would read diff = 10·50/100 = 5 > beta and cut it to 12 600 B.
-  cc.on_ack(f, 1400);
-  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 15400.0);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 14000.0);
+  EXPECT_EQ(f.ssthresh_bytes(), 14000u);
 }
 
 TEST(UncoupledReno, SharedInstanceKeepsFlowsIndependent) {
