@@ -206,22 +206,27 @@ RunResult Session::run() {
   // Main event loop with an optional watchdog: the time/event caps abort a
   // runaway run deterministically. The run stops at the earlier of the
   // timeout and the max_sim_time cap, before the first event past it, so a
-  // cut run reports only what happened inside the cap. With both caps
-  // disabled the predicate is just !done, so the event sequence is exactly
-  // the historical one (bit-identical replays).
+  // cut run reports only what happened inside the cap. It also stops once
+  // the MPTCP connection has failed: nothing after that can change the
+  // outcome, and the cross-traffic would otherwise run on to the timeout.
+  // With both caps disabled the predicate is just !done && !failed, so the
+  // event sequence is exactly the historical one (bit-identical replays).
   const sim::TimePoint timeout_at = sim.now() + cfg_.timeout;
   const sim::TimePoint cap_at = sim.now() + cfg_.max_sim_time;
   const bool cap_time = cfg_.max_sim_time > sim::Duration{} && cap_at < timeout_at;
+  const core::MptcpConnection* conn = client_connection();
+  const auto failed = [conn] { return conn != nullptr && conn->failed(); };
   bool watchdog = false;
   sim.run_while(
       [&] {
-        if (done_) return false;
+        if (done_ || failed()) return false;
         watchdog = cfg_.max_events != 0 && sim.events().executed() >= cfg_.max_events;
         return !watchdog;
       },
       cap_time ? cap_at : timeout_at);
-  // Stopped short of completion with events still pending: the cap cut it.
-  if (cap_time && !done_ && !sim.events().empty()) watchdog = true;
+  // Stopped short of completion, with events still pending and the
+  // connection alive: the cap cut it.
+  if (cap_time && !done_ && !failed() && !sim.events().empty()) watchdog = true;
 
   RunResult result;
   collect(result);

@@ -124,7 +124,8 @@ struct RunResult {
 /// `ping_warmup`. Between the constructor and run() a caller may attach to
 /// testbed(), client_connection() and mptcp_server(); an observer that only
 /// reads changes no simulated output. run() runs until the download
-/// completes or the timeout or a cap cuts it, then collects the result.
+/// completes, the MPTCP connection fails or the timeout or a cap cuts it,
+/// then collects the result.
 /// Everything stays readable afterwards.
 class Session {
  public:

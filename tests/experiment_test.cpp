@@ -301,21 +301,22 @@ struct PinnedRun {
   std::uint64_t reinjections;
 };
 
-/// The pinned run, through run_download or, `traced`, through a Session
-/// that captures every packet: tracing must change no simulated output.
-RunResult pinned_run(const PinnedRun& pin, bool traced) {
+TestbedConfig pinned_testbed() {
   TestbedConfig tb;
   tb.seed = 2013;
-  tb.capture_trace = traced;
   tb.wifi = netem::wifi_hotspot();
   tb.cellular = carrier_profile(Carrier::kVerizon);
+  return tb;
+}
+
+RunConfig pinned_config(PathMode mode, PinVariant variant) {
   RunConfig rc;
-  rc.mode = pin.mode;
+  rc.mode = mode;
   rc.file_bytes = 2 << 20;
   rc.timeout = sim::Duration::seconds(120);
-  if (pin.variant == PinVariant::kMaxSimTime) rc.max_sim_time = sim::Duration::millis(1500);
-  if (pin.variant == PinVariant::kTimeout) rc.timeout = sim::Duration::millis(1500);
-  if (pin.variant == PinVariant::kFaults) {
+  if (variant == PinVariant::kMaxSimTime) rc.max_sim_time = sim::Duration::millis(1500);
+  if (variant == PinVariant::kTimeout) rc.timeout = sim::Duration::millis(1500);
+  if (variant == PinVariant::kFaults) {
     // Every episode ends before WiFi goes down, as in the lossy benchmark.
     std::istringstream script{
         "1.0 wifi burstloss 0.05 0.3 0.005 0.3\n"
@@ -332,7 +333,7 @@ RunResult pinned_run(const PinnedRun& pin, bool traced) {
     rc.faults = netem::FaultSchedule::parse(script, &error);
     EXPECT_EQ(error, "");
   }
-  if (pin.variant == PinVariant::kEveryAction) {
+  if (variant == PinVariant::kEveryAction) {
     // Without the warm-up the first SYN leaves from Session's constructor,
     // so only a t = 0 middlebox applied there rewrites it; a NAT that
     // misses the SYN desynchronizes the WiFi flow. A single-path run takes
@@ -371,6 +372,15 @@ RunResult pinned_run(const PinnedRun& pin, bool traced) {
     EXPECT_EQ(error, "");
     rc.ping_warmup = false;
   }
+  return rc;
+}
+
+/// The pinned run, through run_download or, `traced`, through a Session
+/// that captures every packet: tracing must change no simulated output.
+RunResult pinned_run(const PinnedRun& pin, bool traced) {
+  TestbedConfig tb = pinned_testbed();
+  tb.capture_trace = traced;
+  const RunConfig rc = pinned_config(pin.mode, pin.variant);
   if (!traced) return run_download(tb, rc);
   Session session{tb, rc};
   const RunResult r = session.run();
@@ -449,6 +459,35 @@ TEST(Run, PinnedScenarioActions) {
       EXPECT_EQ(r.reinjections, pin.reinjections) << label;
     }
   }
+}
+
+// A run ends at the event in which its MPTCP connection fails. On mpr_run's
+// default testbed (seed 1), MP-4 with DSS checksums and OLIA under the
+// every-action script fails at 91.6 s, when every path has been dead for
+// 90 s; the run used to simulate the cross-traffic on to the 3600 s
+// timeout. It still reports the failure, with the timeout as its download
+// time.
+TEST(Run, FailedConnectionEndsTheRun) {
+  RunConfig rc;
+  rc.mode = PathMode::kMptcp4;
+  rc.file_bytes = 4 << 20;
+  rc.dss_checksum = true;
+  rc.cc = core::CcKind::kOlia;
+  rc.faults = pinned_config(PathMode::kMptcp4, PinVariant::kEveryAction).faults;
+  Session session{TestbedConfig{}, rc};
+  sim::Simulation& sim = session.testbed().sim();
+  std::uint64_t events_at_failure = 0;
+  sim::TimePoint failed_at;
+  session.client_connection()->on_error = [&] {
+    events_at_failure = sim.events().executed();
+    failed_at = sim.now();
+  };
+  const RunResult r = session.run();
+  EXPECT_EQ(r.outcome, RunOutcome::kConnectionFailed);
+  EXPECT_EQ(r.download_time_s, rc.timeout.to_seconds());
+  EXPECT_EQ(failed_at.ns() / 100'000'000, 916);  // 91.6 s
+  EXPECT_EQ(r.sim_stats.events_executed, events_at_failure);
+  EXPECT_EQ(sim.now(), failed_at);
 }
 
 // A time cap stops the run before the first event past it. On the pinned
