@@ -76,6 +76,98 @@ void BM_TimerWheelArmCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerWheelArmCancel);
 
+// The queue loaded the way a download loads it, unlike the rows above,
+// which hold thousands of events at once: three FIFO links, each with one
+// pending service event and its packets' in-order deliveries 0.5-12 ms
+// ahead, and an RTO-style timer cancelled and re-armed 200 ms ahead on
+// every other delivery. Each link's sender keeps a window of packets in
+// flight that grows by one per delivery and restarts from one at its cap,
+// so the near-term run holds from a few records to about 80. The counters
+// report its length at each delivery.
+class DownloadShapedLoad {
+ public:
+  explicit DownloadShapedLoad(int deliveries) : deliveries_left_{deliveries} {
+    for (int i = 0; i < kLinks; ++i) send(i);
+  }
+
+  std::uint64_t run() {
+    q_.run();
+    return q_.executed();
+  }
+  [[nodiscard]] std::size_t run_length_sum() const { return run_length_sum_; }
+  [[nodiscard]] std::size_t run_length_max() const { return run_length_max_; }
+  [[nodiscard]] std::size_t samples() const { return samples_; }
+
+ private:
+  struct Link {
+    sim::Duration tx;    // serialization time of one packet
+    sim::Duration prop;  // delivery delay once served
+    int cap;             // window cap, in packets
+    int window{1};
+    int in_flight{0};  // sent, not yet delivered
+    int queued{0};     // waiting for or in service
+  };
+  static constexpr int kLinks = 3;
+
+  // The sender fills the window; an idle link starts serving.
+  void send(int i) {
+    Link& l = links_[i];
+    const bool idle = l.queued == 0;
+    const int room = l.window - l.in_flight;
+    if (room <= 0) return;
+    l.in_flight += room;
+    l.queued += room;
+    if (idle) q_.schedule_after(l.tx, [this, i] { serve(i); });
+  }
+
+  // One packet leaves the link's FIFO; the next one starts service.
+  void serve(int i) {
+    Link& l = links_[i];
+    q_.schedule_after(l.prop, [this, i] { deliver(i); });
+    if (--l.queued > 0) q_.schedule_after(l.tx, [this, i] { serve(i); });
+  }
+
+  void deliver(int i) {
+    run_length_sum_ += q_.near_size();
+    run_length_max_ = std::max(run_length_max_, q_.near_size());
+    ++samples_;
+    Link& l = links_[i];
+    --l.in_flight;
+    l.window = l.window >= l.cap ? 1 : l.window + 1;
+    if (--deliveries_left_ % 2 == 0) {
+      q_.cancel(rto_);
+      rto_ = q_.schedule_after(sim::Duration::millis(200), [this] { rto_ = sim::kInvalidEventId; });
+    }
+    if (deliveries_left_ > 0) send(i);
+  }
+
+  sim::EventQueue q_;
+  Link links_[kLinks]{{sim::Duration::micros(100), sim::Duration::micros(500), 6},
+                      {sim::Duration::micros(300), sim::Duration::millis(4), 16},
+                      {sim::Duration::micros(200), sim::Duration::millis(12), 64}};
+  sim::EventId rto_{sim::kInvalidEventId};
+  int deliveries_left_;
+  std::size_t run_length_sum_{0};
+  std::size_t run_length_max_{0};
+  std::size_t samples_{0};
+};
+
+void BM_EventQueueDownloadShape(benchmark::State& state) {
+  std::uint64_t events = 0;
+  double mean = 0;
+  double max = 0;
+  for (auto _ : state) {
+    DownloadShapedLoad load{20000};
+    events += load.run();
+    mean = static_cast<double>(load.run_length_sum()) / static_cast<double>(load.samples());
+    max = static_cast<double>(load.run_length_max());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["run_mean"] = mean;
+  state.counters["run_max"] = max;
+}
+BENCHMARK(BM_EventQueueDownloadShape);
+
 void BM_UnackedTracking(benchmark::State& state) {
   // The sender's retransmission-state loop in isolation: append a flight of
   // MSS segments at snd_nxt, then retire it front-to-back on cumulative
