@@ -99,8 +99,8 @@ bool EventQueue::cancel(EventId id) {
   SlotMeta& m = meta_[slot];
   if (m.live == 0 || m.gen != static_cast<std::uint32_t>(id >> 32)) return false;
   // Tombstone: drop the action now (frees captured state), leave the run's
-  // record or the wheel entry to be skipped when it surfaces. The slot is recycled
-  // only then, so the id space stays unambiguous.
+  // record or the wheel entry to be skipped when it surfaces. The slot is
+  // recycled only then, so the id space stays unambiguous.
   m.live = 0;
   arena_action(slot).drop();
   --live_count_;
