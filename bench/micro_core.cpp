@@ -81,9 +81,11 @@ BENCHMARK(BM_TimerWheelArmCancel);
 // pending service event and its packets' in-order deliveries 0.5-12 ms
 // ahead, and an RTO-style timer cancelled and re-armed 200 ms ahead on
 // every other delivery. Each link's sender keeps a window of packets in
-// flight that grows by one per delivery and restarts from one at its cap,
-// so the near-term run holds from a few records to about 80. The counters
-// report its length at each delivery.
+// flight that grows by one per delivery and restarts from one at its cap.
+// The caps hold the near-term run to about 13 records on average at a
+// delivery, at most 16, near the means measured in the simulated runs
+// (about 4 to 12 records when an event runs). The counters report its
+// length at each delivery.
 class DownloadShapedLoad {
  public:
   explicit DownloadShapedLoad(int deliveries) : deliveries_left_{deliveries} {
@@ -142,9 +144,9 @@ class DownloadShapedLoad {
   }
 
   sim::EventQueue q_;
-  Link links_[kLinks]{{sim::Duration::micros(100), sim::Duration::micros(500), 6},
-                      {sim::Duration::micros(300), sim::Duration::millis(4), 16},
-                      {sim::Duration::micros(200), sim::Duration::millis(12), 64}};
+  Link links_[kLinks]{{sim::Duration::micros(100), sim::Duration::micros(500), 3},
+                      {sim::Duration::micros(300), sim::Duration::millis(4), 6},
+                      {sim::Duration::micros(200), sim::Duration::millis(12), 8}};
   sim::EventId rto_{sim::kInvalidEventId};
   int deliveries_left_;
   std::size_t run_length_sum_{0};

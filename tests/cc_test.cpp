@@ -393,6 +393,11 @@ TEST(Vegas, RtoRelearnsTheBaseRtt) {
   for (int i = 0; i < 9; ++i) cc.on_ack(f, 1400);
   EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 14000.0);
   EXPECT_EQ(f.ssthresh_bytes(), 14000u);
+  // The RTO restarted the epoch, so the 11 200 B epoch opened at the 8th
+  // ack closes at the 15th at diff 0 and the window rises. An epoch kept
+  // across the RTO would still be the pre-RTO 28 000 B one, open here.
+  for (int i = 0; i < 6; ++i) cc.on_ack(f, 1400);
+  EXPECT_DOUBLE_EQ(f.cwnd_bytes(), 15400.0);
 }
 
 TEST(UncoupledReno, SharedInstanceKeepsFlowsIndependent) {

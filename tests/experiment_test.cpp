@@ -301,14 +301,7 @@ struct PinnedRun {
   std::uint64_t reinjections;
 };
 
-TestbedConfig pinned_testbed() {
-  TestbedConfig tb;
-  tb.seed = 2013;
-  tb.wifi = netem::wifi_hotspot();
-  tb.cellular = carrier_profile(Carrier::kVerizon);
-  return tb;
-}
-
+/// The RunConfig of the pinned run in `mode` under `variant`.
 RunConfig pinned_config(PathMode mode, PinVariant variant) {
   RunConfig rc;
   rc.mode = mode;
@@ -378,8 +371,11 @@ RunConfig pinned_config(PathMode mode, PinVariant variant) {
 /// The pinned run, through run_download or, `traced`, through a Session
 /// that captures every packet: tracing must change no simulated output.
 RunResult pinned_run(const PinnedRun& pin, bool traced) {
-  TestbedConfig tb = pinned_testbed();
+  TestbedConfig tb;
+  tb.seed = 2013;
   tb.capture_trace = traced;
+  tb.wifi = netem::wifi_hotspot();
+  tb.cellular = carrier_profile(Carrier::kVerizon);
   const RunConfig rc = pinned_config(pin.mode, pin.variant);
   if (!traced) return run_download(tb, rc);
   Session session{tb, rc};

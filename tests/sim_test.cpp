@@ -154,7 +154,7 @@ TEST(EventQueueTest, CancelTwiceSecondIsFalse) {
   EventQueue q;
   const EventId id = q.schedule_after(Duration::millis(1), [] {});
   EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // tombstoned, heap entry still pending
+  EXPECT_FALSE(q.cancel(id));  // tombstoned, its record still pending
   q.run();                     // pops the tombstone and recycles the slot
   EXPECT_FALSE(q.cancel(id));  // generation bumped: still dead
 }
@@ -252,17 +252,19 @@ struct MoveCountingAction {
 }  // namespace
 
 TEST(EventQueueTest, ActionsAreRelocatedExactlyOncePerEvent) {
-  // The heap sifts only 16-byte (when, seq|slot) records; actions live in a
-  // stable slot arena and run in place. schedule_at takes the closure as a
-  // template argument and builds it in its slot, so a scheduled closure is
-  // move-constructed exactly once regardless of heap churn: from the
-  // caller's temporary into the slot.
+  // Insertion steps shift only 16-byte (when, seq|slot) records; actions
+  // live in a stable slot arena and run in place. schedule_at takes the
+  // closure as a template argument and builds it in its slot, so a
+  // scheduled closure is move-constructed exactly once however often the
+  // records shift: from the caller's temporary into the slot.
   EventQueue q;
   int moves = 0;
   int calls = 0;
   constexpr int kTracked = 64;
-  // Interleave tracked events with enough filler (descending times, so every
-  // push sifts) to force repeated heap growth and slot-table growth.
+  // Interleave tracked events with filler at descending times, earlier than
+  // every tracked one: each filler record lands at the back of the run, and
+  // each later tracked event walks past every filler record. That forces
+  // repeated growth of the run and of the slot table.
   for (int i = 0; i < kTracked; ++i) {
     q.schedule_at(TimePoint::from_ns(10'000 + i), MoveCountingAction{&moves, &calls});
     for (int j = 0; j < 50; ++j) {
@@ -272,7 +274,7 @@ TEST(EventQueueTest, ActionsAreRelocatedExactlyOncePerEvent) {
   EXPECT_EQ(moves, kTracked);  // no relocations at schedule-heavy time
   q.run();
   EXPECT_EQ(calls, kTracked);
-  EXPECT_EQ(moves, kTracked);  // and none during sifting or execution
+  EXPECT_EQ(moves, kTracked);  // and none during insertion or execution
 }
 
 namespace {
