@@ -13,6 +13,7 @@
 #include "net/link.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
+#include "sim/flat_vec.h"
 #include "sim/simulation.h"
 #include "sim/timing_wheel.h"
 #include "tcp/seg_ring.h"
@@ -78,14 +79,14 @@ BENCHMARK(BM_TimerWheelArmCancel);
 
 // The queue loaded the way a download loads it, unlike the rows above,
 // which hold thousands of events at once: three FIFO links, each with one
-// pending service event and its packets' in-order deliveries 0.5-12 ms
-// ahead, and an RTO-style timer cancelled and re-armed 200 ms ahead on
-// every other delivery. Each link's sender keeps a window of packets in
-// flight that grows by one per delivery and restarts from one at its cap.
-// The caps hold the near-term run to about 13 records on average at a
-// delivery, at most 16, near the means measured in the simulated runs
-// (about 4 to 12 records when an event runs). The counters report its
-// length at each delivery.
+// pending service event and one pending delivery, and an RTO-style timer
+// cancelled and re-armed 200 ms ahead on every other delivery. As in
+// net::Link, a served packet reserves its seq and waits in its link's
+// lane 0.5-12 ms for its arrival; only the lane's head is filed, under
+// its reserved seq, and its delivery files the next one. Each link's
+// sender keeps a window of packets in flight that grows by one per
+// delivery and restarts from one at its cap (3, 6 and 8 packets). The
+// counters report the near-term run's length at each delivery.
 class DownloadShapedLoad {
  public:
   explicit DownloadShapedLoad(int deliveries) : deliveries_left_{deliveries} {
@@ -101,6 +102,12 @@ class DownloadShapedLoad {
   [[nodiscard]] std::size_t samples() const { return samples_; }
 
  private:
+  // A served packet: arrives at `when` under the seq reserved at its
+  // service end.
+  struct InFlight {
+    sim::TimePoint when;
+    std::uint64_t seq;
+  };
   struct Link {
     sim::Duration tx;    // serialization time of one packet
     sim::Duration prop;  // delivery delay once served
@@ -122,17 +129,26 @@ class DownloadShapedLoad {
     if (idle) q_.schedule_after(l.tx, [this, i] { serve(i); });
   }
 
-  // One packet leaves the link's FIFO; the next one starts service.
+  // One packet leaves the link's FIFO and joins its lane; the next one
+  // starts service.
   void serve(int i) {
     Link& l = links_[i];
-    q_.schedule_after(l.prop, [this, i] { deliver(i); });
+    lanes_[i].push_back(InFlight{q_.now() + l.prop, q_.reserve_seq()});
+    if (lanes_[i].size() == 1) file_head(i);
     if (--l.queued > 0) q_.schedule_after(l.tx, [this, i] { serve(i); });
+  }
+
+  void file_head(int i) {
+    const InFlight& head = lanes_[i].front();
+    q_.schedule_reserved(head.when, head.seq, [this, i] { deliver(i); });
   }
 
   void deliver(int i) {
     run_length_sum_ += q_.near_size();
     run_length_max_ = std::max(run_length_max_, q_.near_size());
     ++samples_;
+    lanes_[i].pop_front();
+    if (!lanes_[i].empty()) file_head(i);
     Link& l = links_[i];
     --l.in_flight;
     l.window = l.window >= l.cap ? 1 : l.window + 1;
@@ -147,6 +163,7 @@ class DownloadShapedLoad {
   Link links_[kLinks]{{sim::Duration::micros(100), sim::Duration::micros(500), 3},
                       {sim::Duration::micros(300), sim::Duration::millis(4), 6},
                       {sim::Duration::micros(200), sim::Duration::millis(12), 8}};
+  sim::FlatRing<InFlight> lanes_[kLinks];  // served, not yet delivered; front() is filed
   sim::EventId rto_{sim::kInvalidEventId};
   int deliveries_left_;
   std::size_t run_length_sum_{0};

@@ -74,15 +74,21 @@ ScopedAuditHandler::~ScopedAuditHandler() { t_handler = std::move(prev_); }
 
 // ---------------------------------------------------------------------------
 
-void TimeMonotonicAudit::on_event(std::int64_t when_ns) {
+void TimeMonotonicAudit::on_event(std::int64_t when_ns, std::uint64_t seq) {
   bump_checks();
   if (when_ns < last_ns_) {
     report({.rule = "event.time_monotonic",
             .detail = "event at " + std::to_string(when_ns) +
                       "ns popped after " + std::to_string(last_ns_) + "ns",
             .time_ns = when_ns});
+  } else if (when_ns == last_ns_ && seq <= last_seq_) {
+    report({.rule = "event.seq_order",
+            .detail = "event seq " + std::to_string(seq) + " popped after seq " +
+                      std::to_string(last_seq_) + " at the same instant",
+            .time_ns = when_ns});
   }
   last_ns_ = when_ns;
+  last_seq_ = seq;
 }
 
 void PoolLedger::on_acquire(const void* p) {

@@ -96,14 +96,18 @@ class ScopedAuditHandler {
 // Checkers
 // ---------------------------------------------------------------------------
 
-/// Event-clock monotonicity: every popped event's timestamp must be >= the
-/// previously popped one (the queue may never run time backwards).
+/// Event order: every popped event's (when, seq) must be above the
+/// previously popped one's. Time may never run backwards
+/// ("event.time_monotonic"), and at one instant seqs must rise
+/// ("event.seq_order"): an event filed under a reserved seq after the queue
+/// has run past that seq surfaces here.
 class TimeMonotonicAudit {
  public:
-  void on_event(std::int64_t when_ns);
+  void on_event(std::int64_t when_ns, std::uint64_t seq);
 
  private:
   std::int64_t last_ns_{std::numeric_limits<std::int64_t>::min()};
+  std::uint64_t last_seq_{0};  // unread until an event shares last_ns_
 };
 
 /// Packet-pool ledger: every pooled packet is outstanding at most once.

@@ -74,10 +74,26 @@ void Link::finish_service(PacketPtr p) {
       // it ends here rather than as a delivery event.
       p.reset();
     } else {
-      sim_.at(deliver_at, [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
+      // The seq is drawn here, where scheduling the delivery now would
+      // draw it; the event itself is filed once the packet heads the lane.
+      lane_.push_back(InFlight{deliver_at, sim_.events().reserve_seq(), std::move(p)});
+      if (lane_.size() == 1) file_lane_head();
     }
   }
   maybe_start_service();
+}
+
+void Link::file_lane_head() {
+  const InFlight& head = lane_.front();
+  sim_.events().schedule_reserved(head.deliver_at, head.seq, [this] { deliver_lane_head(); });
+}
+
+// The next head is filed before the packet is handed on: its (time, seq)
+// is above this event's, and the lane is whole again if delivering sends.
+void Link::deliver_lane_head() {
+  PacketPtr p = lane_.pop_front().packet;
+  if (!lane_.empty()) file_lane_head();
+  deliver_(std::move(p));
 }
 
 }  // namespace mpr::net

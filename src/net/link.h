@@ -6,10 +6,17 @@
 // in sequence, so a delayed packet head-of-line blocks the ones behind it.
 // This is the mechanism behind the RTT spikes the paper observes on 3G.
 //
+// Served packets wait for their arrival in one FIFO lane, and only the
+// lane's head has an event pending: its delivery files the next one. Each
+// packet's seq is reserved when its service ends, so every delivery runs
+// at the (time, seq) an event scheduled then would have. The FIFO floor
+// makes the lane's (time, seq) pairs rise, so the head is always filed
+// before the queue reaches anything ordered after it.
+//
 // Cross-traffic packets (Packet::cross_traffic) go through every step up
 // to delivery — queue, airtime, wire loss, extra delay, the FIFO floor,
-// Stats — and are then released: nothing receives them, so they get no
-// delivery event.
+// Stats — and are then released: nothing receives them, so they never
+// enter the lane.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +28,7 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/queue.h"
+#include "sim/flat_vec.h"
 #include "sim/simulation.h"
 
 namespace mpr::net {
@@ -84,8 +92,20 @@ class Link {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  // A served packet on its way: arrives at `deliver_at` under `seq`, the
+  // seq reserved when its service ended.
+  struct InFlight {
+    sim::TimePoint deliver_at;
+    std::uint64_t seq;
+    PacketPtr packet;
+  };
+
   void maybe_start_service();
   void finish_service(PacketPtr p);
+  /// Files the delivery of the lane's head under its reserved seq.
+  void file_lane_head();
+  /// Delivers the lane's head and files the next one.
+  void deliver_lane_head();
 
   sim::Simulation& sim_;
   Config config_;
@@ -100,6 +120,7 @@ class Link {
   std::unique_ptr<QueueDiscipline> queue_;
   bool serving_{false};
   sim::TimePoint last_delivery_;  // FIFO floor for deliveries
+  sim::FlatRing<InFlight> lane_;  // served, not yet delivered; front() is filed
   Stats stats_;
 };
 

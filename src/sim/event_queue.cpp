@@ -63,7 +63,7 @@ void EventQueue::near_insert(NearRec rec) {
   near_[i] = rec;
 }
 
-EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
+EventId EventQueue::enqueue(TimePoint when, std::uint64_t seq, std::uint32_t slot) {
 #if MPR_AUDIT
   if (meta_[slot].live != 0) {
     check::report({.rule = "event.slot_reuse",
@@ -74,7 +74,6 @@ EventId EventQueue::enqueue(TimePoint when, std::uint32_t slot) {
   meta_[slot].live = 1;
   if (when < now_) when = now_;  // never schedule into the past
   const EventId id = encode(slot, meta_[slot].gen);
-  const std::uint64_t seq = next_seq_++;
   assert(seq < (std::uint64_t{1} << (64 - kSlotIndexBits)) && "seq overflows packed record");
   // Far-out events park in the wheel; near ones go straight to the run.
   // The min_insert_ns() guard covers the window where the wheel cursor has
@@ -152,11 +151,11 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
 void EventQueue::pop_and_execute() {
   const std::int64_t t_ns = near_.back().when_ns;
   const std::uint32_t slot = slot_of(near_.back().seq_slot);
+#if MPR_AUDIT
+  order_audit_.on_event(t_ns, near_.back().seq_slot >> kSlotIndexBits);
+#endif
   near_.pop_back();
   now_ = TimePoint::from_ns(t_ns);
-#if MPR_AUDIT
-  clock_audit_.on_event(t_ns);
-#endif
   // Mark dead before invoking so a cancel() of this very id returns false
   // (the event is running, not pending), then run and destroy the action
   // *in place*: the arena chunk is stable, so the action stays valid even

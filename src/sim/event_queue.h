@@ -8,16 +8,21 @@
 // schedule through this queue; there is no other source of time.
 //
 // Ordering contract: events run in exact (when, seq) order, where seq is
-// assigned at schedule time — FIFO among events scheduled for the same
-// instant. The wheel never reorders anything: it hands entries to the run
-// no later than their due time (a slot's start is <= every due time inside
-// it), and the run is the sole execution source. Routing between tiers
-// therefore cannot change outputs.
+// drawn at schedule time — FIFO among events scheduled for the same
+// instant — or reserved earlier with reserve_seq() for an event filed later
+// by schedule_reserved(). A reserved event runs exactly where it would have
+// run had it been scheduled when its seq was drawn, provided it is filed
+// before the queue runs anything ordered after it (a link's delivery lane,
+// net/link.h, files each packet's delivery when the one ahead of it runs).
+// The wheel never reorders anything: it hands entries to the run no later
+// than their due time (a slot's start is <= every due time inside it), and
+// the run is the sole execution source. Routing between tiers therefore
+// cannot change outputs.
 //
 // The near-term run is one FlatVec sorted latest-first. Since the wheel
-// takes everything 16 ms or more ahead, it holds only what is in flight on
-// the links: a handful of records on average in a download, a few hundred
-// at the very most. At that size one insertion step beats a heap: a
+// takes everything 16 ms or more ahead, and each link files only the next
+// delivery of its lane, it holds a handful of records on average in a
+// download. At that size one insertion step beats a heap: a
 // schedule walks from the back past every earlier record and puts the new
 // one there, the next event is back(), and a pop is pop_back(). The trade
 // is that a schedule costs O(records it passes), so a queue that holds
@@ -83,9 +88,23 @@ class EventQueue {
   /// >= now()). The closure is built in its slot.
   template <typename F>
   EventId schedule_at(TimePoint when, F&& action) {
+    return schedule_reserved(when, reserve_seq(), std::forward<F>(action));
+  }
+
+  /// Draws the seq of an event the caller files later with
+  /// schedule_reserved(): its place among events at the same instant is
+  /// fixed now, as if it were scheduled now.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `action` at `when` under `seq`, drawn by reserve_seq() and
+  /// not used before. The caller files it before the queue runs any event
+  /// ordered after (when, seq); filed later, it runs out of order, which
+  /// the MPR_AUDIT build reports.
+  template <typename F>
+  EventId schedule_reserved(TimePoint when, std::uint64_t seq, F&& action) {
     const std::uint32_t slot = acquire_slot();
     arena_action(slot).emplace(std::forward<F>(action));
-    return enqueue(when, slot);
+    return enqueue(when, seq, slot);
   }
 
   /// Schedules `action` after `delay` (clamped to >= 0).
@@ -196,9 +215,9 @@ class EventQueue {
   void release_slot(std::uint32_t slot);  // bumps generation, recycles
 
   /// The out-of-line half of a schedule, once the action sits in `slot`:
-  /// marks the slot live, draws the event's seq and files it in the run
-  /// or the wheel.
-  EventId enqueue(TimePoint when, std::uint32_t slot);
+  /// marks the slot live and files the event under `seq` in the run or the
+  /// wheel.
+  EventId enqueue(TimePoint when, std::uint64_t seq, std::uint32_t slot);
 
   // Appends one arena chunk. Out of line and cold: add_slot is on the
   // audited hot path, and this is its only allocation.
@@ -235,7 +254,7 @@ class EventQueue {
   static constexpr std::int64_t kNoWheelEvent = std::numeric_limits<std::int64_t>::max();
 
 #if MPR_AUDIT
-  check::TimeMonotonicAudit clock_audit_;
+  check::TimeMonotonicAudit order_audit_;
 #endif
 
   static std::atomic<std::uint64_t> total_executed_;

@@ -20,9 +20,9 @@
 //                elsewhere (e.g. PacketPool::release, whose freelist can
 //                never outgrow the storage the acquire path reserved).
 //   FlatRing<T>  power-of-two ring deque for move-only payloads (queue
-//                disciplines holding PacketPtr). Replaces std::deque,
-//                whose block map allocates on push and frees on pop right
-//                in the middle of enqueue/dequeue.
+//                disciplines holding PacketPtr, a link's delivery lane).
+//                Replaces std::deque, whose block map allocates on push
+//                and frees on pop right in the middle of enqueue/dequeue.
 //   FlatDeque<T> deque of trivially-copyable records supporting iteration,
 //                indexing, interior erase and interior insert: the MPTCP
 //                reinjection queues, and tcp::SegRing (tcp/seg_ring.h), the

@@ -12,6 +12,10 @@
 #include "check/audit.h"
 #include "experiment/run.h"
 #include "experiment/series.h"
+#include "net/link.h"
+#include "net/packet_pool.h"
+#include "sim/event_queue.h"
+#include "sim/simulation.h"
 
 namespace mpr::check {
 namespace {
@@ -79,12 +83,23 @@ TEST(AuditCore, ScopedHandlerRestoresThrowingDefault) {
 TEST(TimeMonotonic, BackwardsTimeIsViolation) {
   Capture cap;
   TimeMonotonicAudit clock;
-  clock.on_event(100);
-  clock.on_event(100);  // equal is fine (simultaneous events share a tick)
-  clock.on_event(250);
+  clock.on_event(100, 1);
+  clock.on_event(100, 2);  // equal is fine (simultaneous events share a tick)
+  clock.on_event(250, 0);  // a later instant may carry any seq
   EXPECT_TRUE(cap.seen().empty());
-  clock.on_event(249);  // corruption: time runs backwards
+  clock.on_event(249, 3);  // corruption: time runs backwards
   EXPECT_TRUE(cap.saw("event.time_monotonic"));
+}
+
+TEST(TimeMonotonic, SameInstantSeqMustRise) {
+  Capture cap;
+  TimeMonotonicAudit clock;
+  clock.on_event(100, 0);  // the first event may carry seq 0
+  clock.on_event(100, 5);
+  EXPECT_TRUE(cap.seen().empty());
+  clock.on_event(100, 4);  // corruption: a lower seq after a higher one
+  EXPECT_TRUE(cap.saw("event.seq_order"));
+  EXPECT_FALSE(cap.saw("event.time_monotonic"));
 }
 
 // --- packet pool ledger -----------------------------------------------------
@@ -438,6 +453,64 @@ TEST(AuditE2E, WeightedAndRedundantSurviveFaultsAndMiddleboxes) {
     EXPECT_GT(r.sim_stats.audit_checks, 0u);
     EXPECT_EQ(violations_total(), violations_before) << to_string(sched);
   }
+#endif
+}
+
+TEST(AuditE2E, ReservedSeqFiledLateIsReported) {
+#if !MPR_AUDIT
+  GTEST_SKIP() << "requires -DMPR_AUDIT=ON";
+#else
+  // The seq is reserved before the event at the same instant is scheduled,
+  // but filed only once that event has run: it then runs after a higher
+  // seq at its instant, out of the order its reservation promised.
+  Capture cap;
+  sim::EventQueue q;
+  const sim::TimePoint t = sim::TimePoint::from_ns(10);
+  const std::uint64_t reserved = q.reserve_seq();
+  bool late_ran = false;
+  q.schedule_at(t, [&] { q.schedule_reserved(t, reserved, [&] { late_ran = true; }); });
+  q.run();
+  EXPECT_TRUE(late_ran);
+  EXPECT_TRUE(cap.saw("event.seq_order"));
+#endif
+}
+
+TEST(AuditE2E, LinkLaneRunsInOrder) {
+#if !MPR_AUDIT
+  GTEST_SKIP() << "requires -DMPR_AUDIT=ON";
+#else
+  // A burst through one link whose every third packet stalls 2 ms, so the
+  // FIFO floor holds packets behind it and many share an arrival instant.
+  // Each delivery schedules a plain event at its own instant, and plain
+  // events scheduled up front land among the deliveries. Every delivery is
+  // filed from the lane under its reserved seq, and the queue runs the
+  // whole mix in rising (time, seq).
+  Capture cap;
+  const std::uint64_t checks_before = checks_total();
+  sim::Simulation sim{3};
+  int delivered = 0;
+  net::Link link{sim,
+                 net::Link::Config{.name = "lane", .rate_bps = 1e8,
+                                   .prop_delay = sim::Duration::millis(20),
+                                   .queue_capacity_bytes = 1 << 20},
+                 [&](net::PacketPtr) {
+                   ++delivered;
+                   sim.after(sim::Duration::zero(), [] {});
+                 }};
+  int draws = 0;
+  link.set_extra_delay_fn([&] {
+    return draws++ % 3 == 0 ? sim::Duration::millis(2) : sim::Duration::zero();
+  });
+  for (int i = 0; i < 200; ++i) {
+    net::PacketPtr p = sim.service<net::PacketPool>().acquire();
+    p->payload_bytes = 1000;
+    link.send(std::move(p));
+    sim.at(sim::TimePoint::from_ns(sim::Duration::millis(20).ns() + i * 80'000), [] {});
+  }
+  sim.run();
+  EXPECT_EQ(delivered, 200);
+  EXPECT_TRUE(cap.seen().empty());
+  EXPECT_GT(checks_total(), checks_before);
 #endif
 }
 

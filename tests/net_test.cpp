@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/host.h"
@@ -318,6 +319,37 @@ TEST_F(LinkTest, ExtraDelayPreservesFifoOrder) {
   EXPECT_EQ(delivered[1].tcp.seq, 2u);
   EXPECT_GE(times[1], times[0]);
   EXPECT_GT(times[0].to_millis(), 50.0);
+}
+
+TEST_F(LinkTest, DeliveryRunsBeforeEventsScheduledWhileInFlight) {
+  // A and B leave back to back: 1 ms of airtime each, 5 ms on the wire, so
+  // B's service ends at 2 ms, A arrives at 6 ms and B at 7 ms. B waits in
+  // the lane behind A, and its delivery is filed only when A's runs. Three
+  // plain events share B's arrival instant: G scheduled at 0 ms, before B's
+  // service ended; E scheduled at 4 ms, while B is on the wire; F scheduled
+  // at 6.5 ms, after B's delivery was filed. B runs where a delivery
+  // scheduled at its service end would: after G, before E and F.
+  std::vector<std::string> order;
+  Link link{sim,
+            {.name = "l", .rate_bps = 8.32e6, .prop_delay = sim::Duration::millis(5),
+             .queue_capacity_bytes = 100000},
+            [&](PacketPtr p) { order.push_back(p->tcp.seq == 1 ? "A" : "B"); }};
+  const sim::Duration tx = sim::Duration::from_seconds(1040 * 8.0 / 8.32e6);
+  const sim::TimePoint b_arrival = sim::TimePoint::origin() + tx + tx + sim::Duration::millis(5);
+  PacketPtr a = packet(1000);
+  a->tcp.seq = 1;
+  PacketPtr b = packet(1000);
+  b->tcp.seq = 2;
+  link.send(std::move(a));
+  link.send(std::move(b));
+  sim.at(b_arrival, [&] { order.push_back("G"); });
+  sim.at(sim::TimePoint::origin() + sim::Duration::millis(4),
+         [&] { sim.at(b_arrival, [&] { order.push_back("E"); }); });
+  sim.at(sim::TimePoint::origin() + sim::Duration::micros(6500),
+         [&] { sim.at(b_arrival, [&] { order.push_back("F"); }); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "G", "B", "E", "F"}));
+  EXPECT_EQ(sim.now(), b_arrival);
 }
 
 /// Never drops; counts its draws.

@@ -187,11 +187,16 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
   // sort of the events never cancelled. The delay mixes: spread from 0 to
   // ~2.1 s; drawn from a handful of values, so many events share an
   // instant; bursts of in-order pushes 0.5-12 ms ahead, as a link's FIFO
-  // deliveries make; and all three together.
-  enum class Mix { kSpread, kFewInstants, kFifoBursts, kAll };
+  // deliveries make; lane records, as a link's delivery lane keeps them;
+  // and all four together. A lane record reserves its seq when it joins
+  // one of two FIFO lanes ("service end", at one of the few instants, no
+  // earlier than the record ahead of it) and is filed under that seq only
+  // when the record ahead of it runs, so its issue order is its
+  // reservation.
+  enum class Mix { kSpread, kFewInstants, kFifoBursts, kLane, kAll };
   constexpr std::int64_t kInstants[] = {0, 1'000, 500'000, 16'000'000, 40'000'000, 200'000'000};
   constexpr int kEvents = 600;
-  for (const Mix mix : {Mix::kSpread, Mix::kFewInstants, Mix::kFifoBursts, Mix::kAll}) {
+  for (const Mix mix : {Mix::kSpread, Mix::kFewInstants, Mix::kFifoBursts, Mix::kLane, Mix::kAll}) {
     for (const std::uint64_t seed : {77u, 78u, 79u}) {
       SCOPED_TRACE("mix " + std::to_string(static_cast<int>(mix)) + " seed " +
                    std::to_string(seed));
@@ -205,26 +210,63 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
       std::vector<EventId> ids;  // indexed by ref id, like the two flags
       std::vector<char> ran;
       std::vector<char> cancelled;
+      std::vector<char> in_lane;  // lane records are never cancelled
       std::vector<int> order;
+      struct LaneRec {
+        int id;
+        std::uint64_t seq;
+      };
+      std::vector<LaneRec> lanes[2];  // FIFO: the front is filed
       std::function<void()> tick;
-      const auto push = [&](std::int64_t delay) {
+      const auto issue = [&](std::int64_t when_ns, bool lane) {
         const int id = static_cast<int>(ref.size());
-        ref.push_back(Ref{q.now().ns() + delay, id});
+        ref.push_back(Ref{when_ns, id});
         ran.push_back(0);
         cancelled.push_back(0);
-        ids.push_back(q.schedule_after(Duration::nanos(delay), [&, id] {
+        in_lane.push_back(lane ? 1 : 0);
+        ids.push_back(kInvalidEventId);
+        return id;
+      };
+      const auto push = [&](std::int64_t delay) {
+        const int id = issue(q.now().ns() + delay, false);
+        ids[id] = q.schedule_after(Duration::nanos(delay), [&, id] {
           ran[id] = 1;
           order.push_back(id);
           tick();
-        }));
+        });
+      };
+      std::function<void(int)> file_head;
+      file_head = [&](int lane) {
+        const LaneRec head = lanes[lane].front();
+        ids[head.id] = q.schedule_reserved(TimePoint::from_ns(ref[head.id].when_ns), head.seq,
+                                           [&, lane, id = head.id] {
+                                             ran[id] = 1;
+                                             order.push_back(id);
+                                             lanes[lane].erase(lanes[lane].begin());
+                                             if (!lanes[lane].empty()) file_head(lane);
+                                             tick();
+                                           });
+      };
+      const auto lane_push = [&](int lane, std::int64_t delay) {
+        std::vector<LaneRec>& l = lanes[lane];
+        std::int64_t when_ns = q.now().ns() + delay;
+        if (!l.empty()) when_ns = std::max(when_ns, ref[l.back().id].when_ns);  // FIFO floor
+        const int id = issue(when_ns, true);
+        l.push_back(LaneRec{id, q.reserve_seq()});
+        if (l.size() == 1) file_head(lane);
       };
       tick = [&] {
         const int fanout = 1 + static_cast<int>(rng() % 2);
         for (int i = 0; i < fanout && static_cast<int>(ref.size()) < kEvents; ++i) {
-          const Mix kind = mix == Mix::kAll ? static_cast<Mix>(rng() % 3) : mix;
+          const Mix kind = mix == Mix::kAll ? static_cast<Mix>(rng() % 4) : mix;
           if (kind == Mix::kSpread) {
             push(static_cast<std::int64_t>(rng() % (std::uint64_t{1} << 31)));
           } else if (kind == Mix::kFewInstants) {
+            push(kInstants[rng() % std::size(kInstants)]);
+          } else if (kind == Mix::kLane) {
+            const int lane = static_cast<int>(rng() % 2);
+            lane_push(lane, kInstants[rng() % std::size(kInstants)]);
+            // An ordinary event at an instant a lane record may hold.
             push(kInstants[rng() % std::size(kInstants)]);
           } else {
             // Back-to-back deliveries: equal or rising times, issued in order.
@@ -237,6 +279,7 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
         // Cancel a random issued event: only one still pending cancels.
         if (rng() % 4 == 0) {
           const auto victim = static_cast<std::size_t>(rng() % ref.size());
+          if (in_lane[victim] != 0) return;
           const bool pending = ran[victim] == 0 && cancelled[victim] == 0;
           EXPECT_EQ(q.cancel(ids[victim]), pending) << "event " << victim;
           if (pending) cancelled[victim] = 1;
