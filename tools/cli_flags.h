@@ -2,7 +2,8 @@
 //
 // Every getter records the name it was asked for. Once a tool has read all
 // the flags it honours, all_read() refuses the rest, so a typo such as
-// --carier exits 1 instead of running the default.
+// --carier exits 1 instead of running the default. A flag given twice is
+// refused the same way: neither value silently wins.
 #pragma once
 
 #include <charconv>
@@ -34,7 +35,9 @@ inline std::optional<double> parse_number(std::string_view s) {
 
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  /// Parses argv. A flag given twice, in any of the three forms, prints
+  /// "<tool>: --<name> given twice" to stderr, and all_read() then refuses.
+  Flags(const char* tool, int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
@@ -42,13 +45,16 @@ class Flags {
         continue;
       }
       arg = arg.substr(2);
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      std::string value = "true";
+      if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+        arg.resize(eq);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "true";
+        value = argv[++i];
+      }
+      if (!values_.emplace(arg, std::move(value)).second && !repeated_) {
+        std::fprintf(stderr, "%s: --%s given twice\n", tool, arg.c_str());
+        repeated_ = true;
       }
     }
   }
@@ -126,9 +132,10 @@ class Flags {
 
   /// Call once the tool has read every flag it honours. A flag no getter
   /// asked for prints "<tool>: unknown flag --<name>", a positional
-  /// argument "<tool>: unexpected argument <arg>", to stderr; either makes
-  /// this false, so the tool can exit 1.
+  /// argument "<tool>: unexpected argument <arg>", to stderr; either, or a
+  /// flag given twice, makes this false, so the tool can exit 1.
   [[nodiscard]] bool all_read(const char* tool) const {
+    if (repeated_) return false;
     for (const auto& [name, value] : values_) {
       if (!read_.contains(name)) {
         std::fprintf(stderr, "%s: unknown flag --%s\n", tool, name.c_str());
@@ -152,6 +159,7 @@ class Flags {
 
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  bool repeated_{false};
   mutable std::set<std::string> read_;
 };
 

@@ -206,7 +206,7 @@ int run_campaign_cli(const tools::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Flags flags{argc, argv};
+  const tools::Flags flags{"mpr_run", argc, argv};
   if (flags.has("help")) {
     std::printf("see the header of tools/mpr_run.cpp for flags\n");
     return 0;

@@ -22,7 +22,7 @@
 using namespace mpr;
 
 int main(int argc, char** argv) {
-  const tools::Flags flags{argc, argv};
+  const tools::Flags flags{"mpr_trace", argc, argv};
   std::optional<tools::RunFlags> parsed = tools::parse_run_flags(flags, "mpr_trace");
   if (!parsed) return 1;
   const bool pcap = flags.has("pcap");
