@@ -191,7 +191,7 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
   // and all four together. A lane record reserves its seq when it joins
   // one of two FIFO lanes ("service end", at one of the few instants, no
   // earlier than the record ahead of it) and is filed under that seq only
-  // when the record ahead of it runs, so its issue order is its
+  // when the record ahead of it runs, so the reference places it by its
   // reservation.
   enum class Mix { kSpread, kFewInstants, kFifoBursts, kLane, kAll };
   constexpr std::int64_t kInstants[] = {0, 1'000, 500'000, 16'000'000, 40'000'000, 200'000'000};
@@ -218,7 +218,7 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
       };
       std::vector<LaneRec> lanes[2];  // FIFO: the front is filed
       std::function<void()> tick;
-      const auto issue = [&](std::int64_t when_ns, bool lane) {
+      const auto add_ref = [&](std::int64_t when_ns, bool lane) {
         const int id = static_cast<int>(ref.size());
         ref.push_back(Ref{when_ns, id});
         ran.push_back(0);
@@ -228,7 +228,7 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
         return id;
       };
       const auto push = [&](std::int64_t delay) {
-        const int id = issue(q.now().ns() + delay, false);
+        const int id = add_ref(q.now().ns() + delay, false);
         ids[id] = q.schedule_after(Duration::nanos(delay), [&, id] {
           ran[id] = 1;
           order.push_back(id);
@@ -251,7 +251,7 @@ TEST(EventQueueWheelTest, TimerOrderMatchesReferenceModel) {
         std::vector<LaneRec>& l = lanes[lane];
         std::int64_t when_ns = q.now().ns() + delay;
         if (!l.empty()) when_ns = std::max(when_ns, ref[l.back().id].when_ns);  // FIFO floor
-        const int id = issue(when_ns, true);
+        const int id = add_ref(when_ns, true);
         l.push_back(LaneRec{id, q.reserve_seq()});
         if (l.size() == 1) file_head(lane);
       };
